@@ -66,6 +66,7 @@ import (
 
 	"cdcs"
 	"cdcs/internal/exp"
+	"cdcs/internal/fleet"
 )
 
 func main() {
@@ -304,7 +305,7 @@ func run() int {
 // timeout expires. Draining is idempotent, so re-running the command against
 // an already-draining replica just resumes the wait.
 func runDrain(ctx context.Context, base string, timeout time.Duration) error {
-	base = strings.TrimRight(strings.TrimSpace(base), "/")
+	base = fleet.NormalizeURL(base)
 	client := &http.Client{Timeout: 10 * time.Second}
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
@@ -395,7 +396,7 @@ func runSweep(w io.Writer, path string, jsonOut bool, replicas string, opts cdcs
 	var res *cdcs.SweepResult
 	start := time.Now()
 	if replicas != "" {
-		urls := strings.Split(replicas, ",")
+		urls := fleet.Normalize(strings.Split(replicas, ","))
 		fmt.Fprintf(os.Stderr, "sweep: %d cells over %d schemes across %d replicas\n",
 			canon.NumCells(), len(canon.Schemes), len(urls))
 		dopts.Parallelism = opts.Parallelism

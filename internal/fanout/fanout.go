@@ -1,34 +1,32 @@
-// Package fanout shards content-addressed work units across HTTP replicas.
+// Package fanout shards content-addressed work units across the replicas
+// of a fleet (internal/fleet).
 //
 // Each unit (a "cell" — one JSON POST whose response is fully determined by
-// its content address) is assigned to a replica by rendezvous hashing of
-// its key: every client ranks the replicas for a key the same way, so
-// independent clients route a cell to the same replica and its result cache
-// absorbs the repeats. When a replica fails, only the cells it owned move —
-// each retries down its own rendezvous ranking onto surviving replicas, the
-// same replicas those cells would hash to if the dead one were removed from
-// the set. No coordination state exists outside the replicas' caches.
-//
-// With a fleet view attached (Options.Fleet), routing also reacts to load
-// and health: each cell goes to the least-loaded healthy replica among its
-// top-K rendezvous holders (cache affinity preserved — the holders don't
-// change, only the order among them), breaker-open replicas drop to the
-// back of the retry path, and cells whose service latency exceeds
-// Options.HotLatency are replicated in the background to a second holder so
-// warm copies exist on more than one replica. Routing only ever changes
-// *where* a cell is computed, never *what* it returns: responses are a pure
-// function of the cell's content address.
+// its content address) is routed by the fleet: when the cell is dispatched
+// it is ranked over the fleet's current members by rendezvous hashing of
+// its key (fleet.Rank), so independent clients route a cell to the same
+// replica and its result cache absorbs the repeats, and the ranking is
+// reordered by fleet.Order — the least-loaded healthy replica among the
+// top-K holders first (cache affinity preserved: the holders don't change,
+// only the order among them), breaker-open replicas last. When a replica
+// fails, only the cells it owned move — each retries down its own routing
+// order onto surviving replicas — and every outcome feeds the fleet's
+// breakers, so once a dead replica's breaker opens later cells stop dialing
+// it. A membership change mid-fan-out re-routes only the cells not yet
+// dispatched. Cells whose service latency exceeds Options.HotLatency are
+// replicated in the background to a second holder so warm copies exist on
+// more than one replica. Routing only ever changes *where* a cell is
+// computed, never *what* it returns: responses are a pure function of the
+// cell's content address.
 package fanout
 
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -83,7 +81,9 @@ type Stats struct {
 
 // Options tunes Do. The zero value is usable.
 type Options struct {
-	// Client is the HTTP client (default http.DefaultClient).
+	// Client is the HTTP client (default: a client with a 15-minute
+	// timeout, the serving layer's default job timeout, so a replica that
+	// accepts a connection and never answers cannot hang the fan-out).
 	Client *http.Client
 	// Path is the request path POSTed on each replica (default
 	// "/v1/compare").
@@ -94,69 +94,41 @@ type Options struct {
 	// OnProgress, if set, is called after each completed cell with (done,
 	// total).
 	OnProgress func(done, total int)
-	// Fleet, when non-nil, supplies health-checked, load-aware routing:
-	// each cell's rendezvous ranking is reordered by fleet.Order
-	// (least-loaded healthy holder among the top-K first, breaker-open
-	// replicas last) and every request's outcome feeds the view.
-	Fleet *fleet.Fleet
-	// HotLatency, with Fleet set, marks a cell hot when its serving
-	// request took longer than this. A hot cell is re-POSTed in the
-	// background to its next-ranked healthy holder, which warms its cache
-	// (from its own compute, or via its peer tier's /v1/blob pull when so
-	// configured) so later requests for the cell have a second warm home.
-	// 0 disables replication.
+	// HotLatency marks a cell hot when its serving request took longer
+	// than this. A hot cell is re-POSTed in the background to its
+	// next-ranked healthy holder, which warms its cache (from its own
+	// compute, or via its peer tier's /v1/blob pull when so configured) so
+	// later requests for the cell have a second warm home. 0 disables
+	// replication.
 	HotLatency time.Duration
-	// Members, when non-nil, makes the replica set live: it is consulted
-	// when each cell is *dispatched*, so a membership change mid-fan-out
-	// re-routes only the cells not yet started — in-flight cells complete
-	// on the route they were dispatched with. Rebalancing is incremental
-	// by construction: rendezvous ranking moves a key only when the set of
-	// its top holders changes (see MovedKeys), so a join or leave touches
-	// the joiner's/leaver's share of the keyspace and nothing else. An
-	// empty snapshot is ignored (the initial replica list is used) so a
-	// transient membership hiccup cannot strand cells with no candidates.
-	Members func() []string
 }
 
-// deadSet caches per-fan-out death verdicts: once a replica fails a request
-// with a retriable error it is skipped by later cells (until a success or a
-// recovered breaker clears it), so an N-cell sweep against a dead replica
-// pays O(1) dial timeouts instead of O(N).
-type deadSet struct {
-	mu sync.Mutex
-	m  map[string]bool
-}
+// errNoReplicas fails a fan-out over a fleet with no members.
+var errNoReplicas = errors.New("fanout: no replicas")
 
-func (d *deadSet) isDead(r string) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.m[r]
-}
+// defaultClient bounds every fan-out request by the longest a /v1/compare
+// runs on a default replica (its 15-minute job timeout).
+var defaultClient = &http.Client{Timeout: 15 * time.Minute}
 
-func (d *deadSet) mark(r string, dead bool) {
-	d.mu.Lock()
-	d.m[r] = dead
-	d.mu.Unlock()
-}
-
-// Do fans cells out across replicas and returns their results ordered by
-// cell (results[i] belongs to cells[i]). Each cell is tried on every
-// replica in its routing order before the whole fan-out fails; a 4xx
-// response fails immediately (the request itself is invalid — no other
-// replica will accept it). On error the first failure is returned and
-// in-flight work is canceled.
-func Do(ctx context.Context, replicas []string, cells []Cell, opts Options) ([]Result, Stats, error) {
+// Do fans cells out across the members of fl and returns their results
+// ordered by cell (results[i] belongs to cells[i]). Each cell is ranked over
+// fl.Replicas() when it is dispatched and tried on every replica in its
+// routing order before the whole fan-out fails; a 4xx response fails
+// immediately (the request itself is invalid — no other replica will accept
+// it). On error the first failure is returned and in-flight work is
+// canceled.
+func Do(ctx context.Context, fl *fleet.Fleet, cells []Cell, opts Options) ([]Result, Stats, error) {
 	stats := Stats{Replicas: map[string]ReplicaStats{}}
-	reps := NormalizeReplicas(replicas)
+	reps := fl.Replicas()
 	if len(reps) == 0 {
-		return nil, stats, fmt.Errorf("fanout: no replicas")
+		return nil, stats, errNoReplicas
 	}
 	for _, r := range reps {
 		stats.Replicas[r] = ReplicaStats{}
 	}
 	client := opts.Client
 	if client == nil {
-		client = http.DefaultClient
+		client = defaultClient
 	}
 	path := opts.Path
 	if path == "" {
@@ -173,18 +145,6 @@ func Do(ctx context.Context, replicas []string, cells []Cell, opts Options) ([]R
 		workers = 1
 	}
 
-	// members resolves the replica set a cell is ranked over at dispatch
-	// time: the static list, or the live view when Options.Members is set.
-	members := func() []string { return reps }
-	if opts.Members != nil {
-		members = func() []string {
-			if m := NormalizeReplicas(opts.Members()); len(m) > 0 {
-				return m
-			}
-			return reps
-		}
-	}
-
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -194,7 +154,6 @@ func Do(ctx context.Context, replicas []string, cells []Cell, opts Options) ([]R
 		firstErr error
 		wg       sync.WaitGroup
 	)
-	dead := &deadSet{m: map[string]bool{}}
 	results := make([]Result, len(cells))
 	next := make(chan int)
 	fail := func(err error) {
@@ -221,7 +180,7 @@ func Do(ctx context.Context, replicas []string, cells []Cell, opts Options) ([]R
 			case <-ctx.Done():
 				return
 			}
-			end := opts.Fleet.Begin(target)
+			end := fl.Begin(target)
 			_, _, err := post(ctx, client, target+path, cell.Body)
 			end(err)
 			if err == nil {
@@ -238,18 +197,19 @@ func Do(ctx context.Context, replicas []string, cells []Cell, opts Options) ([]R
 			defer wg.Done()
 			for i := range next {
 				cell := cells[i]
-				ranked := Rank(members(), cell.Key)
-				route := ranked
-				if opts.Fleet != nil {
-					route = opts.Fleet.Order(ranked)
+				ranked := fleet.Rank(fl.Replicas(), cell.Key)
+				if len(ranked) == 0 {
+					fail(errNoReplicas)
+					return
 				}
+				route := fl.Order(ranked)
 				mu.Lock()
 				rs := stats.Replicas[ranked[0]]
 				rs.Assigned++
 				stats.Replicas[ranked[0]] = rs
 				mu.Unlock()
 
-				res, served, failed, err := tryReplicas(ctx, client, route, path, cell, opts.Fleet, dead)
+				res, failed, err := tryReplicas(ctx, client, fl, route, path, cell)
 				mu.Lock()
 				for _, r := range failed {
 					rs := stats.Replicas[r]
@@ -257,10 +217,10 @@ func Do(ctx context.Context, replicas []string, cells []Cell, opts Options) ([]R
 					stats.Replicas[r] = rs
 				}
 				if err == nil {
-					rs := stats.Replicas[served]
+					rs := stats.Replicas[res.Replica]
 					rs.Served++
-					stats.Replicas[served] = rs
-					if served != route[0] {
+					stats.Replicas[res.Replica] = rs
+					if res.Replica != route[0] {
 						stats.Retried++
 					}
 					results[i] = res
@@ -271,8 +231,8 @@ func Do(ctx context.Context, replicas []string, cells []Cell, opts Options) ([]R
 						opts.OnProgress(done, len(cells))
 					}
 					mu.Unlock()
-					if opts.Fleet != nil && opts.HotLatency > 0 && res.Latency > opts.HotLatency {
-						if target := opts.Fleet.Alternate(ranked, served); target != "" {
+					if opts.HotLatency > 0 && res.Latency > opts.HotLatency {
+						if target := fl.Alternate(ranked, res.Replica); target != "" {
 							replicate(cell, target)
 						}
 					}
@@ -307,70 +267,30 @@ feed:
 }
 
 // tryReplicas walks a cell's routing order until a replica answers,
-// skipping replicas already marked dead this fan-out (unless the fleet
-// view says they recovered). If every candidate was skipped on a cached
-// verdict, the skipped ones are retried last — verdicts can be stale, and
-// exhausting the ranking, not a stale verdict, must be the only way a cell
-// fails. Returns the replicas that failed along the way so the caller can
-// account them.
-func tryReplicas(ctx context.Context, client *http.Client, route []string, path string, cell Cell, fl *fleet.Fleet, dead *deadSet) (res Result, served string, failed []string, err error) {
+// reporting every outcome to the fleet. Breaker-open replicas are already
+// at the back of the order, so they are dialed only once every healthier
+// candidate has failed. Returns the replicas that failed along the way so
+// the caller can account them.
+func tryReplicas(ctx context.Context, client *http.Client, fl *fleet.Fleet, route []string, path string, cell Cell) (res Result, failed []string, err error) {
 	var lastErr error
-	attempts := 0
-	// tryOne issues one request; done reports success, terminal a
-	// non-retriable failure.
-	tryOne := func(replica string) (ok bool, terminal error) {
+	for attempts, replica := range route {
 		if err := ctx.Err(); err != nil {
-			return false, err
+			return Result{}, failed, err
 		}
-		attempts++
-		var end func(error)
-		if fl != nil {
-			end = fl.Begin(replica)
-		}
+		end := fl.Begin(replica)
 		start := time.Now()
 		body, retriable, perr := post(ctx, client, replica+path, cell.Body)
-		if end != nil {
-			end(perr)
-		}
+		end(perr)
 		if perr == nil {
-			dead.mark(replica, false)
-			res = Result{Index: cell.Index, Replica: replica, Attempts: attempts, Latency: time.Since(start), Body: body}
-			served = replica
-			return true, nil
+			return Result{Index: cell.Index, Replica: replica, Attempts: attempts + 1, Latency: time.Since(start), Body: body}, failed, nil
 		}
 		if !retriable {
-			return false, fmt.Errorf("fanout: cell %d on %s: %w", cell.Index, replica, perr)
+			return Result{}, failed, fmt.Errorf("fanout: cell %d on %s: %w", cell.Index, replica, perr)
 		}
-		dead.mark(replica, true)
 		failed = append(failed, replica)
 		lastErr = perr
-		return false, nil
 	}
-
-	var skipped []string
-	for _, replica := range route {
-		if dead.isDead(replica) && (fl == nil || !fl.Healthy(replica)) {
-			skipped = append(skipped, replica)
-			continue
-		}
-		ok, terminal := tryOne(replica)
-		if terminal != nil {
-			return Result{}, "", failed, terminal
-		}
-		if ok {
-			return res, served, failed, nil
-		}
-	}
-	for _, replica := range skipped {
-		ok, terminal := tryOne(replica)
-		if terminal != nil {
-			return Result{}, "", failed, terminal
-		}
-		if ok {
-			return res, served, failed, nil
-		}
-	}
-	return Result{}, "", failed, fmt.Errorf("fanout: cell %d failed on all %d replicas: %w", cell.Index, len(route), lastErr)
+	return Result{}, failed, fmt.Errorf("fanout: cell %d failed on all %d replicas: %w", cell.Index, len(route), lastErr)
 }
 
 // post issues one POST. retriable reports whether another replica might
@@ -408,107 +328,4 @@ func trim(b []byte) string {
 		s = s[:200] + "..."
 	}
 	return s
-}
-
-// NormalizeReplicas trims trailing slashes and drops empties and
-// duplicates, preserving first-seen order. Exported so everything that
-// names replicas — the sweep fan-out here, the result store's peer tier,
-// the fleet view — normalizes identically, which is what keeps their
-// rendezvous rankings (Rank) aligned on the same URL strings.
-func NormalizeReplicas(replicas []string) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, r := range replicas {
-		r = strings.TrimRight(strings.TrimSpace(r), "/")
-		if r == "" || seen[r] {
-			continue
-		}
-		seen[r] = true
-		out = append(out, r)
-	}
-	return out
-}
-
-// Rank orders replicas for a key by rendezvous (highest-random-weight)
-// hashing: every replica is scored by SHA-256(replica NUL key) and sorted
-// by descending score. All clients rank identically for a key regardless of
-// the order replicas were listed in, and removing one replica only moves
-// the keys it owned — everything else keeps its ranking. The full order is
-// the retry path: position 0 owns the key, position 1 inherits it if 0 is
-// down, and so on.
-func Rank(replicas []string, key string) []string {
-	type scored struct {
-		replica string
-		score   uint64
-	}
-	ss := make([]scored, len(replicas))
-	for i, r := range replicas {
-		h := sha256.New()
-		io.WriteString(h, r)
-		h.Write([]byte{0})
-		io.WriteString(h, key)
-		sum := h.Sum(nil)
-		ss[i] = scored{replica: r, score: binary.BigEndian.Uint64(sum[:8])}
-	}
-	sort.Slice(ss, func(i, j int) bool {
-		if ss[i].score != ss[j].score {
-			return ss[i].score > ss[j].score
-		}
-		return ss[i].replica < ss[j].replica
-	})
-	out := make([]string, 0, len(ss))
-	for _, s := range ss {
-		out = append(out, s.replica)
-	}
-	return out
-}
-
-// TopK returns the first k replicas of a key's rendezvous ranking — the
-// key's holder set under top-K routing (k is clamped to the replica count).
-func TopK(replicas []string, key string, k int) []string {
-	ranked := Rank(replicas, key)
-	if k > len(ranked) {
-		k = len(ranked)
-	}
-	if k < 0 {
-		k = 0
-	}
-	return ranked[:k]
-}
-
-// MovedKeys returns the keys whose top-k holder *set* differs between two
-// replica lists — the cells a membership change actually re-routes. This is
-// the incremental-rebalance contract of rendezvous hashing: adding a
-// replica moves exactly the keys whose new top-k includes it (each key
-// independently with probability k/(n+1) going from n to n+1 replicas), and
-// removing one moves exactly the keys whose old top-k contained it — every
-// other key keeps its holders, because the relative scores of surviving
-// replicas never change.
-func MovedKeys(oldReplicas, newReplicas []string, keys []string, k int) []string {
-	oldReps := NormalizeReplicas(oldReplicas)
-	newReps := NormalizeReplicas(newReplicas)
-	var moved []string
-	for _, key := range keys {
-		if !sameHolders(TopK(oldReps, key, k), TopK(newReps, key, k)) {
-			moved = append(moved, key)
-		}
-	}
-	return moved
-}
-
-// sameHolders compares two holder slices as sets.
-func sameHolders(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	in := make(map[string]bool, len(a))
-	for _, r := range a {
-		in[r] = true
-	}
-	for _, r := range b {
-		if !in[r] {
-			return false
-		}
-	}
-	return true
 }

@@ -30,6 +30,16 @@ func echoReplica(t *testing.T, name string, hits *atomic.Int64) *httptest.Server
 	return ts
 }
 
+// static builds a probe-less fleet over urls — the static replica set:
+// request outcomes alone drive its breakers.
+func static(t *testing.T, opts fleet.Options, urls ...string) *fleet.Fleet {
+	t.Helper()
+	opts.ProbeInterval = -1
+	fl := fleet.New(urls, opts)
+	t.Cleanup(fl.Close)
+	return fl
+}
+
 // makeCells builds n cells with hex-ish keys.
 func makeCells(n int) []Cell {
 	cells := make([]Cell, n)
@@ -39,13 +49,16 @@ func makeCells(n int) []Cell {
 	return cells
 }
 
+// The two Rank tests pin the routing invariants the fan-out relies on:
+// every client ranks a cell identically, and a departure moves only the
+// departed replica's cells.
 func TestRankDeterministicAndOrderInvariant(t *testing.T) {
 	reps := []string{"http://a", "http://b", "http://c"}
 	shuffled := []string{"http://c", "http://a", "http://b"}
 	for i := 0; i < 50; i++ {
 		key := fmt.Sprintf("%064x", i)
-		r1 := Rank(reps, key)
-		r2 := Rank(shuffled, key)
+		r1 := fleet.Rank(reps, key)
+		r2 := fleet.Rank(shuffled, key)
 		if strings.Join(r1, ",") != strings.Join(r2, ",") {
 			t.Fatalf("key %s: ranking depends on listing order: %v vs %v", key, r1, r2)
 		}
@@ -61,8 +74,8 @@ func TestRankRemovalOnlyMovesOwnedKeys(t *testing.T) {
 	moved, kept := 0, 0
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("%064x", i*31)
-		before := Rank(reps, key)[0]
-		after := Rank(survivors, key)[0]
+		before := fleet.Rank(reps, key)[0]
+		after := fleet.Rank(survivors, key)[0]
 		if before == "http://b" {
 			moved++
 			continue // owned by the removed replica; may land anywhere
@@ -81,7 +94,7 @@ func TestDoSpreadsCellsAcrossReplicas(t *testing.T) {
 	a := echoReplica(t, "a", nil)
 	b := echoReplica(t, "b", nil)
 	cells := makeCells(64)
-	results, stats, err := Do(context.Background(), []string{a.URL, b.URL}, cells, Options{})
+	results, stats, err := Do(context.Background(), static(t, fleet.Options{}, a.URL, b.URL), cells, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +131,7 @@ func TestDoRetriesOnSurvivingReplica(t *testing.T) {
 	b.Close() // connection refused: the classic dead replica
 
 	cells := makeCells(32)
-	results, stats, err := Do(context.Background(), []string{a.URL, dead}, cells, Options{})
+	results, stats, err := Do(context.Background(), static(t, fleet.Options{}, a.URL, dead), cells, Options{})
 	if err != nil {
 		t.Fatalf("fan-out with one dead replica failed: %v", err)
 	}
@@ -147,7 +160,7 @@ func TestDoAllReplicasDownFails(t *testing.T) {
 	ua, ub := a.URL, b.URL
 	a.Close()
 	b.Close()
-	_, _, err := Do(context.Background(), []string{ua, ub}, makeCells(4), Options{})
+	_, _, err := Do(context.Background(), static(t, fleet.Options{}, ua, ub), makeCells(4), Options{})
 	if err == nil || !strings.Contains(err.Error(), "all 2 replicas") {
 		t.Fatalf("err = %v, want all-replicas failure", err)
 	}
@@ -167,11 +180,11 @@ func TestDo4xxIsNotRetried(t *testing.T) {
 	var cell Cell
 	for i := 0; ; i++ {
 		cell = Cell{Index: 0, Key: fmt.Sprintf("%064x", i), Body: []byte("x")}
-		if Rank([]string{reject.URL, ok.URL}, cell.Key)[0] == reject.URL {
+		if fleet.Rank([]string{reject.URL, ok.URL}, cell.Key)[0] == reject.URL {
 			break
 		}
 	}
-	_, _, err := Do(context.Background(), []string{reject.URL, ok.URL}, []Cell{cell}, Options{})
+	_, _, err := Do(context.Background(), static(t, fleet.Options{}, reject.URL, ok.URL), []Cell{cell}, Options{})
 	if err == nil || !strings.Contains(err.Error(), "400") {
 		t.Fatalf("err = %v, want 400 failure", err)
 	}
@@ -187,7 +200,7 @@ func TestDo5xxFailsOverThenErrorsWhenExhausted(t *testing.T) {
 	defer flaky.Close()
 	ok := echoReplica(t, "b", nil)
 
-	results, stats, err := Do(context.Background(), []string{flaky.URL, ok.URL}, makeCells(8), Options{})
+	results, stats, err := Do(context.Background(), static(t, fleet.Options{}, flaky.URL, ok.URL), makeCells(8), Options{})
 	if err != nil {
 		t.Fatalf("5xx should fail over: %v", err)
 	}
@@ -201,7 +214,7 @@ func TestDo5xxFailsOverThenErrorsWhenExhausted(t *testing.T) {
 	}
 
 	// Alone, the 5xx replica exhausts the ranking.
-	_, _, err = Do(context.Background(), []string{flaky.URL}, makeCells(2), Options{})
+	_, _, err = Do(context.Background(), static(t, fleet.Options{}, flaky.URL), makeCells(2), Options{})
 	if err == nil || !strings.Contains(err.Error(), "503") {
 		t.Fatalf("err = %v, want 503 failure", err)
 	}
@@ -210,7 +223,8 @@ func TestDo5xxFailsOverThenErrorsWhenExhausted(t *testing.T) {
 func TestDoProgressAndCancellation(t *testing.T) {
 	var calls atomic.Int64
 	a := echoReplica(t, "a", nil)
-	_, _, err := Do(context.Background(), []string{a.URL}, makeCells(10), Options{
+	fl := static(t, fleet.Options{}, a.URL)
+	_, _, err := Do(context.Background(), fl, makeCells(10), Options{
 		OnProgress: func(done, total int) {
 			calls.Add(1)
 			if total != 10 {
@@ -227,25 +241,63 @@ func TestDoProgressAndCancellation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err = Do(ctx, []string{a.URL}, makeCells(10), Options{})
+	_, _, err = Do(ctx, fl, makeCells(10), Options{})
 	if err == nil {
 		t.Fatal("canceled fan-out returned nil error")
 	}
 }
 
-func TestNormalizeReplicas(t *testing.T) {
-	got := NormalizeReplicas([]string{" http://a/ ", "", "http://a", "http://b"})
-	if strings.Join(got, ",") != "http://a,http://b" {
-		t.Fatalf("normalize = %v", got)
+// TestDoCachesDeathVerdictPerFanOut guards against O(N) dial timeouts, one
+// per cell ranked to a dead replica: each failure feeds the fleet's
+// breaker, and once it opens the dead replica drops to the back of every
+// later cell's route, so an N-cell sweep against a dead replica costs
+// exactly the breaker threshold in dials.
+func TestDoCachesDeathVerdictPerFanOut(t *testing.T) {
+	for _, tc := range []struct {
+		threshold int // 0 = the fleet default
+		want      int64
+	}{
+		{threshold: 1, want: 1},
+		{threshold: 0, want: 3},
+	} {
+		alive := echoReplica(t, "a", nil)
+		backend := echoReplica(t, "b", nil)
+		proxy, err := testutil.NewFaultProxy(backend.URL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(proxy.Close)
+		proxy.Kill()
+
+		// Parallelism 1 serializes the cells, so after the breaker opens no
+		// concurrent cell can be mid-flight toward the dead replica.
+		cells := makeCells(24)
+		fl := static(t, fleet.Options{BreakerThreshold: tc.threshold}, alive.URL, proxy.URL())
+		results, stats, err := Do(context.Background(), fl, cells, Options{Parallelism: 1})
+		if err != nil {
+			t.Fatalf("threshold %d: fan-out with one dead replica failed: %v", tc.threshold, err)
+		}
+		if len(results) != len(cells) {
+			t.Fatalf("threshold %d: %d results, want %d", tc.threshold, len(results), len(cells))
+		}
+		if got := proxy.DeadRequests(); got != tc.want {
+			t.Errorf("threshold %d: dead replica touched %d times for %d cells, want exactly %d",
+				tc.threshold, got, len(cells), tc.want)
+		}
+		if got := stats.Replicas[alive.URL].Served; got != len(cells) {
+			t.Errorf("threshold %d: survivor served %d, want %d", tc.threshold, got, len(cells))
+		}
 	}
 }
 
-// TestDoCachesDeathVerdictPerFanOut is the regression test for the O(N)
-// dial-timeout bug: before the per-fan-out dead set, every cell ranked to a
-// dead replica paid its own connection attempt. Now the first failure marks
-// the replica dead for the rest of the fan-out, so an N-cell sweep against
-// a dead replica touches it O(1) times, not O(N).
-func TestDoCachesDeathVerdictPerFanOut(t *testing.T) {
+// TestDoBoundsHungReplica: a replica that accepts connections but never
+// answers costs one client deadline, not a hung fan-out — the timed-out
+// request fails over to the survivor and opens the breaker, so later cells
+// skip the hung replica.
+func TestDoBoundsHungReplica(t *testing.T) {
+	if defaultClient.Timeout != 15*time.Minute {
+		t.Fatalf("default client timeout = %v, want the 15m job timeout", defaultClient.Timeout)
+	}
 	alive := echoReplica(t, "a", nil)
 	backend := echoReplica(t, "b", nil)
 	proxy, err := testutil.NewFaultProxy(backend.URL)
@@ -253,32 +305,33 @@ func TestDoCachesDeathVerdictPerFanOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(proxy.Close)
-	proxy.Kill()
+	// Ten client deadlines long. The stall is not cut short by the client
+	// hanging up (the proxy has not read the POST body, so it cannot see the
+	// disconnect), and the proxy's Close waits it out — keep it short.
+	proxy.SetHang(time.Second)
 
-	// Parallelism 1 serializes the cells, so after the first verdict no
-	// concurrent cell can be mid-flight toward the dead replica.
-	cells := makeCells(24)
-	results, stats, err := Do(context.Background(), []string{alive.URL, proxy.URL()}, cells, Options{
+	cells := makeCells(12)
+	fl := static(t, fleet.Options{BreakerThreshold: 1}, alive.URL, proxy.URL())
+	results, stats, err := Do(context.Background(), fl, cells, Options{
+		Client:      &http.Client{Timeout: 100 * time.Millisecond},
 		Parallelism: 1,
 	})
 	if err != nil {
-		t.Fatalf("fan-out with one dead replica failed: %v", err)
+		t.Fatalf("fan-out with a hung replica failed: %v", err)
 	}
-	if len(results) != len(cells) {
-		t.Fatalf("%d results, want %d", len(results), len(cells))
+	for i, r := range results {
+		if r.Replica != alive.URL {
+			t.Errorf("cell %d served by %s, want the survivor", i, r.Replica)
+		}
 	}
-	if got := proxy.DeadRequests(); got != 1 {
-		t.Errorf("dead replica touched %d times for %d cells, want exactly 1", got, len(cells))
-	}
-	if got := stats.Replicas[alive.URL].Served; got != len(cells) {
-		t.Errorf("survivor served %d, want %d", got, len(cells))
+	if got := stats.Replicas[proxy.URL()].Failed; got != 1 {
+		t.Errorf("hung replica Failed = %d, want 1", got)
 	}
 }
 
 // TestDoFleetRevivalClearsDeadVerdict: a dead verdict must not outlive the
-// replica's recovery when a fleet view is watching — Healthy overrides the
-// cached verdict, so a revived replica regains traffic within the same
-// fan-out. (Without a fleet, the verdict correctly lasts the fan-out.)
+// replica's recovery — once the breaker's cooldown admits trial traffic, a
+// revived replica regains traffic within the same fan-out.
 func TestDoFleetRevivalClearsDeadVerdict(t *testing.T) {
 	backend := echoReplica(t, "b", nil)
 	proxy, err := testutil.NewFaultProxy(backend.URL)
@@ -290,19 +343,16 @@ func TestDoFleetRevivalClearsDeadVerdict(t *testing.T) {
 
 	// No prober; breaker threshold 1 so the single failure opens it, and a
 	// short cooldown lets Healthy turn true again mid-fan-out.
-	fl := fleet.New([]string{alive.URL, proxy.URL()}, fleet.Options{
-		ProbeInterval:    -1,
+	fl := static(t, fleet.Options{
 		BreakerThreshold: 1,
 		BreakerCooldown:  50 * time.Millisecond,
-	})
-	defer fl.Close()
+	}, alive.URL, proxy.URL())
 
 	proxy.Kill()
 	cells := makeCells(12)
 	var revived atomic.Bool
-	_, _, err = Do(context.Background(), []string{alive.URL, proxy.URL()}, cells, Options{
+	_, _, err = Do(context.Background(), fl, cells, Options{
 		Parallelism: 1,
-		Fleet:       fl,
 		OnProgress: func(done, total int) {
 			if done == 2 && !revived.Load() {
 				proxy.Revive()
@@ -323,16 +373,13 @@ func TestDoFleetRevivalClearsDeadVerdict(t *testing.T) {
 		}
 		// A second fan-out after the cooldown must reach it.
 		time.Sleep(60 * time.Millisecond)
-		if _, _, err := Do(context.Background(), []string{alive.URL, proxy.URL()}, makeCells(12), Options{
-			Parallelism: 1,
-			Fleet:       fl,
-		}); err != nil {
+		if _, _, err := Do(context.Background(), fl, makeCells(12), Options{Parallelism: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}
 }
 
-// TestDoFleetSteersLoadOffSlowReplica: with a fleet view, a slow-but-alive
+// TestDoFleetSteersLoadOffSlowReplica: a slow-but-alive
 // replica sheds load to the other top-K holder — fewer served cells, no
 // failures, and every response still correct.
 func TestDoFleetSteersLoadOffSlowReplica(t *testing.T) {
@@ -345,15 +392,9 @@ func TestDoFleetSteersLoadOffSlowReplica(t *testing.T) {
 	t.Cleanup(proxy.Close)
 	proxy.SetLatency(40 * time.Millisecond)
 
-	reps := []string{fast.URL, proxy.URL()}
-	fl := fleet.New(reps, fleet.Options{ProbeInterval: -1, TopK: 2})
-	defer fl.Close()
-
+	fl := static(t, fleet.Options{TopK: 2}, fast.URL, proxy.URL())
 	cells := makeCells(48)
-	results, stats, err := Do(context.Background(), reps, cells, Options{
-		Parallelism: 2,
-		Fleet:       fl,
-	})
+	results, stats, err := Do(context.Background(), fl, cells, Options{Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,15 +424,9 @@ func TestDoHotCellReplication(t *testing.T) {
 	var aHits, bHits atomic.Int64
 	a := echoReplica(t, "a", &aHits)
 	b := echoReplica(t, "b", &bHits)
-	reps := []string{a.URL, b.URL}
-	fl := fleet.New(reps, fleet.Options{ProbeInterval: -1, TopK: 2})
-	defer fl.Close()
-
+	fl := static(t, fleet.Options{TopK: 2}, a.URL, b.URL)
 	cells := makeCells(16)
-	_, stats, err := Do(context.Background(), reps, cells, Options{
-		Fleet:      fl,
-		HotLatency: time.Nanosecond,
-	})
+	_, stats, err := Do(context.Background(), fl, cells, Options{HotLatency: time.Nanosecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,8 +439,8 @@ func TestDoHotCellReplication(t *testing.T) {
 		t.Errorf("total requests = %d, want %d", total, 2*len(cells))
 	}
 
-	// Without a fleet (or with HotLatency 0) nothing replicates.
-	_, stats, err = Do(context.Background(), reps, cells, Options{})
+	// With HotLatency 0 nothing replicates.
+	_, stats, err = Do(context.Background(), fl, cells, Options{HotLatency: 0})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,18 @@
-// Package fleet maintains a live view of a set of HTTP replicas: per-
-// replica load and latency instrumentation fed by every request, health-
-// checked membership via periodic probes of each replica's /healthz, and a
-// three-state circuit breaker per replica (closed → open after consecutive
-// failures → half-open trial after a cooldown → closed on success), so
-// replicas leave and rejoin the serving set live, without operator action.
+// Package fleet is the one authority on which HTTP replicas exist, what
+// they are called, how they rank for a key and whether they are healthy.
+// Every layer that talks to replicas — the sweep fan-out (internal/fanout),
+// the result store's peer tier (internal/resultstore), the serving layer
+// and the CLI — names replicas with Normalize, ranks them with Rank and
+// reads the member set and its health from a *Fleet; none keeps a replica
+// list of its own.
+//
+// A Fleet keeps per-replica load and latency instrumentation fed by every
+// request, health-checked membership via periodic probes of each replica's
+// /healthz, and a three-state circuit breaker per replica (closed → open
+// after consecutive failures → half-open trial after a cooldown → closed on
+// success), so replicas leave and rejoin the serving set live, without
+// operator action. A fleet built with a negative ProbeInterval is the
+// static case: request outcomes alone drive the breakers.
 //
 // The member set itself is mutable at runtime (SetMembers), and a fleet can
 // follow the cluster's own membership protocol: replica /healthz responses
@@ -15,18 +24,12 @@
 // revived one: a changed token resets the record (breaker, failure streak,
 // latency EWMA), because the new process shares nothing but the address.
 //
-// Consumers — the sweep fan-out client (internal/fanout) and the result
-// store's peer tier (internal/resultstore) — ask the view two questions:
-// "is this replica usable right now?" (Healthy) and "in what order should
-// these rendezvous candidates be tried?" (Order). Order keeps the
-// DistCache-style two-layer shape: the top-K rendezvous holders of a key
-// stay the preferred servers (cache affinity), but among them the
-// least-loaded healthy one goes first, so load skew steers requests without
-// scattering the key across the whole fleet.
-//
-// The view deliberately knows nothing about rendezvous hashing or request
-// semantics: callers hand it candidate lists already ranked by fanout.Rank
-// and report request outcomes via Begin; the view only reorders and counts.
+// Routing keeps the DistCache-style two-layer shape: Rank gives a key's
+// rendezvous order over the members, and Order reorders it so the top-K
+// holders stay the preferred servers (cache affinity) while the
+// least-loaded healthy one among them goes first, so load skew steers
+// requests without scattering the key across the whole fleet. Callers
+// report request outcomes via Begin.
 package fleet
 
 import (
@@ -182,9 +185,8 @@ type Fleet struct {
 	wg        sync.WaitGroup
 }
 
-// New builds a fleet view over replica base URLs (normalized the same way
-// fanout.NormalizeReplicas does, so the two layers agree on URL strings).
-// The prober does not run until Start.
+// New builds a fleet view over replica base URLs (normalized with
+// Normalize). The prober does not run until Start.
 func New(replicas []string, opts Options) *Fleet {
 	f := &Fleet{
 		opts: opts.withDefaults(),
@@ -194,7 +196,7 @@ func New(replicas []string, opts Options) *Fleet {
 	if f.opts.Client == nil {
 		f.opts.Client = &http.Client{Timeout: f.opts.ProbeTimeout}
 	}
-	f.setMembersLocked(normalizeMembers(replicas))
+	f.setMembersLocked(Normalize(replicas))
 	if f.opts.AdoptMembers {
 		f.mem = NewMembership(replicas)
 		f.mem.OnChange(func(members []string, epoch uint64) {
@@ -207,7 +209,7 @@ func New(replicas []string, opts Options) *Fleet {
 	return f
 }
 
-// Replicas returns the current normalized member URLs.
+// Replicas returns the current member URLs, normalized and sorted.
 func (f *Fleet) Replicas() []string {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
@@ -226,7 +228,7 @@ func (f *Fleet) Membership() *Membership { return f.mem }
 // arrives via snapshots instead; calling SetMembers directly then only
 // changes the view until the next snapshot.
 func (f *Fleet) SetMembers(urls []string) {
-	next := normalizeMembers(urls)
+	next := Normalize(urls)
 	f.mu.Lock()
 	f.setMembersLocked(next)
 	f.mu.Unlock()
@@ -328,7 +330,7 @@ func (f *Fleet) probeOne(r *replica) {
 		r.failureLocked(f.opts.BreakerThreshold, time.Now())
 	}
 	r.mu.Unlock()
-	if f.mem != nil && len(info.Members) > 0 {
+	if f.mem != nil {
 		f.mem.Apply(info.Members, info.Epoch)
 	}
 }
@@ -468,7 +470,7 @@ func (r *replica) tickLocked(sec int64) {
 }
 
 // Order returns the routing order for candidates already ranked by
-// rendezvous (fanout.Rank): the healthy replicas among the top-K holders
+// rendezvous (Rank): the healthy replicas among the top-K holders
 // first, least-loaded first (fewest in-flight requests, then lowest EWMA
 // latency, then rendezvous position — so an idle fleet degenerates to pure
 // rendezvous routing and keeps its cache affinity), followed by the

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -220,4 +221,27 @@ func TestNewNormalizesAndUnknownURLsHealthy(t *testing.T) {
 		t.Error("unknown URL reported unhealthy")
 	}
 	f.Begin("http://elsewhere:9")(errors.New("x")) // must be a safe no-op
+}
+
+// TestNormalize pins the one URL spelling rule every replica-naming layer
+// shares: trimmed space and trailing slashes, no empties, no duplicates,
+// sorted.
+func TestNormalize(t *testing.T) {
+	for _, tc := range []struct {
+		in   []string
+		want string
+	}{
+		{[]string{" http://a/ ", "", "http://a", "http://b"}, "http://a,http://b"},
+		{[]string{" http://a:1/ ", "", "http://a:1", "http://b:2"}, "http://a:1,http://b:2"},
+		{[]string{"http://c:3//", "http://a:1", " http://c:3 "}, "http://a:1,http://c:3"},
+		{[]string{" ", "/"}, ""},
+		{nil, ""},
+	} {
+		if got := strings.Join(Normalize(tc.in), ","); got != tc.want {
+			t.Errorf("Normalize(%q) = %q, want %q", tc.in, got, tc.want)
+		}
+	}
+	if got := NormalizeURL(" http://a:1/ "); got != "http://a:1" {
+		t.Errorf("NormalizeURL = %q", got)
+	}
 }

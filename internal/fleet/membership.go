@@ -1,11 +1,8 @@
 package fleet
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
-
-	"strings"
 )
 
 // Membership is the epoch-versioned member registry behind dynamic fleets:
@@ -33,35 +30,9 @@ type Membership struct {
 	leaves atomic.Int64 // members removed
 }
 
-// normalizeMember mirrors fanout.NormalizeReplicas for a single URL (the
-// fleet package cannot import fanout — fanout imports fleet).
-func normalizeMember(url string) string {
-	return strings.TrimRight(strings.TrimSpace(url), "/")
-}
-
-// normalizeMembers normalizes, deduplicates and sorts a member list. The
-// sorted order makes equal views comparable bytewise and keeps every
-// replica's list identical, so (members, epoch) snapshots from different
-// replicas are directly comparable. Rendezvous ranking is order-independent,
-// so sorting never moves a cell.
-func normalizeMembers(urls []string) []string {
-	seen := map[string]bool{}
-	out := make([]string, 0, len(urls))
-	for _, u := range urls {
-		u = normalizeMember(u)
-		if u == "" || seen[u] {
-			continue
-		}
-		seen[u] = true
-		out = append(out, u)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // NewMembership builds a registry holding the initial members at epoch 0.
 func NewMembership(initial []string) *Membership {
-	return &Membership{members: normalizeMembers(initial)}
+	return &Membership{members: Normalize(initial)}
 }
 
 // Members returns a copy of the current member list (sorted).
@@ -87,7 +58,7 @@ func (m *Membership) Snapshot() ([]string, uint64) {
 
 // Contains reports whether url is currently a member.
 func (m *Membership) Contains(url string) bool {
-	url = normalizeMember(url)
+	url = NormalizeURL(url)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, u := range m.members {
@@ -102,7 +73,7 @@ func (m *Membership) Contains(url string) bool {
 // changed (an already-present member is a no-op at the old epoch, so
 // re-announcing a join is idempotent and does not churn the fleet).
 func (m *Membership) Join(url string) bool {
-	url = normalizeMember(url)
+	url = NormalizeURL(url)
 	if url == "" {
 		return false
 	}
@@ -113,7 +84,7 @@ func (m *Membership) Join(url string) bool {
 			return false
 		}
 	}
-	m.members = normalizeMembers(append(m.members, url))
+	m.members = Normalize(append(m.members, url))
 	m.epoch++
 	members, epoch := append([]string(nil), m.members...), m.epoch
 	fns := append(make([]func([]string, uint64), 0, len(m.onChange)), m.onChange...)
@@ -127,7 +98,7 @@ func (m *Membership) Join(url string) bool {
 
 // Leave removes url, bumping the epoch. Reports whether the list changed.
 func (m *Membership) Leave(url string) bool {
-	url = normalizeMember(url)
+	url = NormalizeURL(url)
 	m.mu.Lock()
 	kept := m.members[:0]
 	removed := false
@@ -162,8 +133,15 @@ func (m *Membership) Leave(url string) bool {
 // one more exchange converges them); an older epoch is ignored. Reports
 // whether the local view changed — the caller then re-propagates its view
 // so stragglers catch up.
+//
+// A list that is empty after normalization is refused at any epoch: a fleet
+// always has at least one member, so an empty snapshot is malformed or
+// hostile, and adopting it would wipe the view and gossip the wipe onward.
 func (m *Membership) Apply(members []string, epoch uint64) bool {
-	incoming := normalizeMembers(members)
+	incoming := Normalize(members)
+	if len(incoming) == 0 {
+		return false
+	}
 	m.mu.Lock()
 	switch {
 	case epoch > m.epoch:
@@ -177,7 +155,7 @@ func (m *Membership) Apply(members []string, epoch uint64) bool {
 	default:
 		// Same epoch, different lists: two changes raced. The union under
 		// the successor epoch is a deterministic merge both sides agree on.
-		incoming = normalizeMembers(append(incoming, m.members...))
+		incoming = Normalize(append(incoming, m.members...))
 		epoch++
 	}
 	added, removed := diffMembers(m.members, incoming)

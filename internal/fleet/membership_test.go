@@ -90,6 +90,33 @@ func TestMembershipApplyEpochRules(t *testing.T) {
 	}
 }
 
+// TestMembershipApplyRefusesEmpty: an empty snapshot — literally, or once
+// normalized — must not wipe the view at any epoch, or one malformed gossip
+// message would empty the fleet and spread the wipe.
+func TestMembershipApplyRefusesEmpty(t *testing.T) {
+	m := NewMembership([]string{"http://a:1", "http://b:2"})
+	changes := 0
+	m.OnChange(func([]string, uint64) { changes++ })
+	for _, tc := range []struct {
+		members []string
+		epoch   uint64
+	}{
+		{nil, 999},
+		{[]string{}, 999},
+		{[]string{" ", "/"}, 1000},
+	} {
+		if m.Apply(tc.members, tc.epoch) {
+			t.Errorf("Apply(%q, %d) reported a change", tc.members, tc.epoch)
+		}
+	}
+	if got := m.Members(); !reflect.DeepEqual(got, []string{"http://a:1", "http://b:2"}) || m.Epoch() != 0 {
+		t.Errorf("view after empty snapshots = %v@%d, want the initial view at epoch 0", got, m.Epoch())
+	}
+	if changes != 0 || m.Leaves() != 0 {
+		t.Errorf("empty snapshots fired %d OnChange callbacks and %d leaves", changes, m.Leaves())
+	}
+}
+
 func TestMembershipOnChange(t *testing.T) {
 	m := NewMembership([]string{"http://a:1"})
 	type change struct {

@@ -1,4 +1,4 @@
-package fanout
+package fleet
 
 import (
 	"fmt"
@@ -15,16 +15,70 @@ func rebalanceKeys(n int) []string {
 	return keys
 }
 
+// topK, movedKeys and sameHolders are the closed-form oracle of the
+// rebalance test: what top-K routing over Rank implies a membership change
+// moves. Nothing outside this test needs them.
+
+// topK returns the first k replicas of a key's rendezvous ranking — the
+// key's holder set under top-K routing (k is clamped to the replica count).
+func topK(replicas []string, key string, k int) []string {
+	ranked := Rank(replicas, key)
+	if k > len(ranked) {
+		k = len(ranked)
+	}
+	if k < 0 {
+		k = 0
+	}
+	return ranked[:k]
+}
+
+// movedKeys returns the keys whose top-k holder *set* differs between two
+// replica lists — the cells a membership change actually re-routes. This is
+// the incremental-rebalance contract of rendezvous hashing: adding a
+// replica moves exactly the keys whose new top-k includes it (each key
+// independently with probability k/(n+1) going from n to n+1 replicas), and
+// removing one moves exactly the keys whose old top-k contained it — every
+// other key keeps its holders, because the relative scores of surviving
+// replicas never change.
+func movedKeys(oldReplicas, newReplicas []string, keys []string, k int) []string {
+	oldReps := Normalize(oldReplicas)
+	newReps := Normalize(newReplicas)
+	var moved []string
+	for _, key := range keys {
+		if !sameHolders(topK(oldReps, key, k), topK(newReps, key, k)) {
+			moved = append(moved, key)
+		}
+	}
+	return moved
+}
+
+// sameHolders compares two holder slices as sets.
+func sameHolders(a, b []string) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	in := make(map[string]bool, len(a))
+	for _, r := range a {
+		in[r] = true
+	}
+	for _, r := range b {
+		if !in[r] {
+			return false
+		}
+	}
+	return true
+}
+
 func TestTopKClamps(t *testing.T) {
 	reps := []string{"http://a:1", "http://b:2", "http://c:3"}
-	if got := TopK(reps, "k", 5); len(got) != 3 {
+	if got := topK(reps, "k", 5); len(got) != 3 {
 		t.Errorf("TopK over-asks: %v", got)
 	}
-	if got := TopK(reps, "k", 0); len(got) != 0 {
-		t.Errorf("TopK(0) = %v", got)
+	if got := topK(reps, "k", 0); len(got) != 0 {
+		t.Errorf("topK(0) = %v", got)
 	}
-	if got := TopK(reps, "k", 2); len(got) != 2 || got[0] != Rank(reps, "k")[0] {
-		t.Errorf("TopK(2) = %v, want the rank prefix", got)
+	if got := topK(reps, "k", 2); len(got) != 2 || got[0] != Rank(reps, "k")[0] {
+		t.Errorf("topK(2) = %v, want the rank prefix", got)
 	}
 }
 
@@ -56,23 +110,23 @@ func TestRebalanceIsIncremental(t *testing.T) {
 		return false
 	}
 
-	// Join: MovedKeys must equal, key for key, the set whose new top-K
+	// Join: movedKeys must equal, key for key, the set whose new top-K
 	// includes the newcomer — no other key may move.
-	moved := MovedKeys(old, grown, keys, k)
+	moved := movedKeys(old, grown, keys, k)
 	movedSet := map[string]bool{}
 	for _, key := range moved {
 		movedSet[key] = true
 	}
 	for _, key := range keys {
-		wantMoved := contains(TopK(grown, key, k), joined)
+		wantMoved := contains(topK(grown, key, k), joined)
 		if movedSet[key] != wantMoved {
 			t.Fatalf("join: key %s moved=%v, want %v (newcomer in new top-%d: %v)",
-				key, movedSet[key], wantMoved, k, TopK(grown, key, k))
+				key, movedSet[key], wantMoved, k, topK(grown, key, k))
 		}
 		if !wantMoved {
 			// An unmoved key's holders are identical, not merely
 			// set-equal-by-accident.
-			o, g := TopK(old, key, k), TopK(grown, key, k)
+			o, g := topK(old, key, k), topK(grown, key, k)
 			for i := range o {
 				if o[i] != g[i] {
 					t.Fatalf("join: unmoved key %s changed holders %v -> %v", key, o, g)
@@ -88,18 +142,18 @@ func TestRebalanceIsIncremental(t *testing.T) {
 	}
 
 	// Leave (the join reversed): a key moves iff the leaver held it.
-	movedBack := MovedKeys(grown, old, keys, k)
+	movedBack := movedKeys(grown, old, keys, k)
 	if len(movedBack) != len(moved) {
 		t.Errorf("remove moved %d keys, join moved %d — they must mirror", len(movedBack), len(moved))
 	}
 	for _, key := range movedBack {
-		if !contains(TopK(grown, key, k), joined) {
+		if !contains(topK(grown, key, k), joined) {
 			t.Fatalf("remove: key %s moved but the leaver was not a holder", key)
 		}
 	}
 
 	// No change, no movement.
-	if m := MovedKeys(old, old, keys, k); len(m) != 0 {
+	if m := movedKeys(old, old, keys, k); len(m) != 0 {
 		t.Errorf("identical member lists moved %d keys", len(m))
 	}
 }

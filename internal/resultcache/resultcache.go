@@ -1,18 +1,17 @@
 // Package resultcache is a sharded, content-addressed LRU cache of
-// serialized simulation results with singleflight coalescing.
+// serialized simulation results: the memory tier of internal/resultstore.
 //
 // The serving path treats simulation as an expensive pure function of a
 // request hash (see the request types in the root package): identical hashes
 // mean identical bytes, so a cache in front of the simulator is correct by
 // construction. Keys are spread over independently locked shards so hot
-// lookups do not serialize, and concurrent misses on the same key coalesce
-// onto a single computation — a thundering herd of identical requests
-// triggers exactly one simulation, with every caller handed the same bytes.
+// lookups do not serialize. Coalescing concurrent misses onto one
+// computation is the job of the tier chain (resultstore.TierChain), not of
+// this cache.
 package resultcache
 
 import (
 	"container/list"
-	"context"
 	"hash/maphash"
 	"sync"
 	"sync/atomic"
@@ -28,17 +27,9 @@ type Cache struct {
 	shards [nShards]shard
 	seed   maphash.Seed
 
-	// flight coalesces concurrent computations of the same key across all
-	// shards (misses are rare and computations are long, so a single lock is
-	// not a bottleneck — shards exist for the hit path).
-	flightMu sync.Mutex
-	flight   map[string]*call
-
 	hits      atomic.Int64
 	misses    atomic.Int64
-	coalesced atomic.Int64
 	evictions atomic.Int64
-	inflight  atomic.Int64
 	bytes     atomic.Int64
 }
 
@@ -55,23 +46,13 @@ type entry struct {
 	val []byte
 }
 
-// call is one in-flight computation; waiters block on done.
-type call struct {
-	done chan struct{}
-	val  []byte
-	err  error
-}
-
 // New builds a cache holding up to capacity entries (minimum nShards, so
 // every shard holds at least one).
 func New(capacity int) *Cache {
 	if capacity < nShards {
 		capacity = nShards
 	}
-	c := &Cache{
-		seed:   maphash.MakeSeed(),
-		flight: map[string]*call{},
-	}
+	c := &Cache{seed: maphash.MakeSeed()}
 	per := capacity / nShards
 	extra := capacity % nShards
 	for i := range c.shards {
@@ -113,74 +94,10 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 	return val, true
 }
 
-// GetOrCompute returns the cached bytes for key, computing and caching them
-// on a miss. Concurrent calls for the same key run compute exactly once: one
-// caller becomes the leader and the rest wait for its result (counted as
-// coalesced hits). Errors are returned to the leader and every waiter but
-// are never cached, so a later request retries. If ctx is canceled while
-// waiting on another caller's computation, GetOrCompute returns ctx.Err();
-// the leader's compute itself is responsible for honoring ctx.
-//
-// hit reports whether the bytes came from cache (or a coalesced flight)
-// rather than from this caller's own compute. The returned slice is shared
-// and must not be modified.
-func (c *Cache) GetOrCompute(ctx context.Context, key string, compute func() ([]byte, error)) (val []byte, hit bool, err error) {
-	if v, ok := c.Get(key); ok {
-		return v, true, nil
-	}
-	// Miss (already counted by Get): join or start a flight.
-	return c.Compute(ctx, key, compute)
-}
-
-// Compute is GetOrCompute without the initial counting lookup: it joins an
-// in-flight computation for key if one exists, and otherwise leads one,
-// caching the result. Callers that already observed a miss via Get (e.g. an
-// async job created for that miss) use Compute so the miss is counted once.
-// The leader re-checks the cache (uncounted) before computing, since another
-// flight may have landed between the caller's lookup and this call.
-func (c *Cache) Compute(ctx context.Context, key string, compute func() ([]byte, error)) (val []byte, hit bool, err error) {
-	c.flightMu.Lock()
-	if cl, ok := c.flight[key]; ok {
-		c.flightMu.Unlock()
-		c.coalesced.Add(1)
-		select {
-		case <-cl.done:
-			return cl.val, true, cl.err
-		case <-ctx.Done():
-			return nil, false, ctx.Err()
-		}
-	}
-	cl := &call{done: make(chan struct{})}
-	c.flight[key] = cl
-	c.flightMu.Unlock()
-
-	if v, ok := c.peek(key); ok {
-		cl.val = v
-		hit = true
-	} else {
-		c.inflight.Add(1)
-		cl.val, cl.err = compute()
-		c.inflight.Add(-1)
-		if cl.err == nil {
-			c.Put(key, cl.val)
-		}
-	}
-	c.flightMu.Lock()
-	delete(c.flight, key)
-	c.flightMu.Unlock()
-	close(cl.done)
-	return cl.val, hit, cl.err
-}
-
 // Peek is Get without the hit/miss counters. Tier compositions (see
 // internal/resultstore) use it for uncounted re-probes inside a flight whose
 // triggering lookup was already counted.
 func (c *Cache) Peek(key string) ([]byte, bool) {
-	return c.peek(key)
-}
-
-// peek is Get without counters.
-func (c *Cache) peek(key string) ([]byte, bool) {
 	s := c.shardFor(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -191,10 +108,8 @@ func (c *Cache) peek(key string) ([]byte, bool) {
 	return nil, false
 }
 
-// Put inserts (or refreshes) a key without going through a flight, evicting
-// from the tail of the key's shard when over capacity. Tiered stores use it
-// to promote entries that were computed elsewhere (e.g. read from a disk
-// tier); most callers want GetOrCompute.
+// Put inserts (or refreshes) a key, evicting from the tail of the key's
+// shard when over capacity.
 func (c *Cache) Put(key string, val []byte) {
 	s := c.shardFor(key)
 	s.mu.Lock()
@@ -254,16 +169,10 @@ func (c *Cache) Len() int {
 
 // Stats is a snapshot of the cache counters.
 type Stats struct {
-	// Hits counts lookups served from cache; Misses counts lookups that fell
-	// through to a computation (coalesced or not).
+	// Hits and Misses count Get lookups.
 	Hits, Misses int64
-	// Coalesced counts callers that waited on another caller's in-flight
-	// computation instead of starting their own.
-	Coalesced int64
 	// Evictions counts LRU evictions.
 	Evictions int64
-	// Inflight is the current number of distinct computations running.
-	Inflight int64
 	// Entries and Bytes describe current occupancy. Bytes counts key and
 	// value bytes per entry, so it is comparable to a disk tier's
 	// per-entry-file accounting.
@@ -276,9 +185,7 @@ func (c *Cache) Stats() Stats {
 	return Stats{
 		Hits:      c.hits.Load(),
 		Misses:    c.misses.Load(),
-		Coalesced: c.coalesced.Load(),
 		Evictions: c.evictions.Load(),
-		Inflight:  c.inflight.Load(),
 		Entries:   c.Len(),
 		Bytes:     c.bytes.Load(),
 	}

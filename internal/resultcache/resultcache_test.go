@@ -1,13 +1,8 @@
 package resultcache
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func TestGetPutRoundTrip(t *testing.T) {
@@ -87,11 +82,11 @@ func TestLRUEvictionOrder(t *testing.T) {
 	}
 	c.Put(k[2], []byte("2"))
 
-	if _, ok := c.peek(k[1]); ok {
+	if _, ok := c.Peek(k[1]); ok {
 		t.Error("least-recently-used key survived eviction")
 	}
 	for _, want := range []string{k[0], k[2]} {
-		if _, ok := c.peek(want); !ok {
+		if _, ok := c.Peek(want); !ok {
 			t.Errorf("recently-used key %s evicted", want)
 		}
 	}
@@ -129,116 +124,5 @@ func TestPutRefreshSameKey(t *testing.T) {
 	st := c.Stats()
 	if st.Entries != 1 || st.Bytes != int64(len("k")+len("longer-v2")) || st.Evictions != 0 {
 		t.Errorf("stats after refresh = %+v", st)
-	}
-}
-
-func TestSingleflight100ConcurrentIdenticalRequests(t *testing.T) {
-	c := New(64)
-	var computes atomic.Int64
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-	results := make([][]byte, 100)
-	errs := make([]error, 100)
-	for i := 0; i < 100; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			<-start
-			v, _, err := c.GetOrCompute(context.Background(), "hot", func() ([]byte, error) {
-				computes.Add(1)
-				time.Sleep(50 * time.Millisecond) // let the herd pile up
-				return []byte("result"), nil
-			})
-			results[i], errs[i] = v, err
-		}(i)
-	}
-	close(start)
-	wg.Wait()
-
-	if n := computes.Load(); n != 1 {
-		t.Errorf("compute ran %d times, want exactly 1", n)
-	}
-	for i := range results {
-		if errs[i] != nil {
-			t.Fatalf("caller %d: %v", i, errs[i])
-		}
-		if string(results[i]) != "result" {
-			t.Errorf("caller %d got %q", i, results[i])
-		}
-	}
-	st := c.Stats()
-	if st.Hits+st.Misses+st.Coalesced == 0 {
-		t.Error("no cache activity recorded")
-	}
-	if st.Inflight != 0 {
-		t.Errorf("inflight = %d after all flights landed", st.Inflight)
-	}
-	// Exactly one caller led; everyone else either coalesced onto the
-	// flight or hit the cache after it landed.
-	if st.Misses-st.Coalesced != 1 {
-		t.Errorf("misses(%d) - coalesced(%d) != 1 leader", st.Misses, st.Coalesced)
-	}
-}
-
-func TestComputeErrorsAreNotCached(t *testing.T) {
-	c := New(64)
-	boom := errors.New("boom")
-	var n atomic.Int64
-	for i := 0; i < 3; i++ {
-		_, _, err := c.GetOrCompute(context.Background(), "k", func() ([]byte, error) {
-			n.Add(1)
-			return nil, boom
-		})
-		if !errors.Is(err, boom) {
-			t.Fatalf("err = %v", err)
-		}
-	}
-	if n.Load() != 3 {
-		t.Errorf("failed compute ran %d times, want 3 (errors must not cache)", n.Load())
-	}
-	v, _, err := c.GetOrCompute(context.Background(), "k", func() ([]byte, error) {
-		return []byte("ok"), nil
-	})
-	if err != nil || string(v) != "ok" {
-		t.Fatalf("recovery compute = %q, %v", v, err)
-	}
-	if _, ok := c.Get("k"); !ok {
-		t.Error("successful value was not cached after earlier errors")
-	}
-}
-
-func TestWaiterHonorsContext(t *testing.T) {
-	c := New(64)
-	leaderIn := make(chan struct{})
-	release := make(chan struct{})
-	go func() {
-		_, _, _ = c.GetOrCompute(context.Background(), "k", func() ([]byte, error) {
-			close(leaderIn)
-			<-release
-			return []byte("v"), nil
-		})
-	}()
-	<-leaderIn
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, _, err := c.GetOrCompute(ctx, "k", func() ([]byte, error) {
-		t.Error("waiter must not compute")
-		return nil, nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("waiter err = %v, want context.Canceled", err)
-	}
-	close(release)
-}
-
-func TestComputeLeaderRechecksCache(t *testing.T) {
-	c := New(64)
-	c.Put("k", []byte("already"))
-	v, hit, err := c.Compute(context.Background(), "k", func() ([]byte, error) {
-		t.Error("compute must not run when the value already landed")
-		return nil, nil
-	})
-	if err != nil || !hit || string(v) != "already" {
-		t.Errorf("Compute = %q, hit=%v, err=%v", v, hit, err)
 	}
 }

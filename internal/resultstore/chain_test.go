@@ -2,6 +2,7 @@ package resultstore
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -154,6 +155,56 @@ func TestChainSingleflightAtHead(t *testing.T) {
 	}
 	if st := chain.Stats(); st.Coalesced != callers-1 {
 		t.Errorf("Coalesced = %d, want %d", st.Coalesced, callers-1)
+	}
+}
+
+// TestChainWaiterHonorsContext: a caller waiting on another caller's flight
+// gives up when its own context ends — it neither blocks on the leader nor
+// computes.
+func TestChainWaiterHonorsContext(t *testing.T) {
+	chain := Chain(newFakeTier("memory"))
+	leaderIn := make(chan struct{})
+	release := make(chan struct{})
+	leaderDone := make(chan struct{})
+	go func() {
+		defer close(leaderDone)
+		_, _, _ = chain.Compute(context.Background(), "k", func() ([]byte, error) {
+			close(leaderIn)
+			<-release
+			return []byte("v"), nil
+		})
+	}()
+	<-leaderIn
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, _, err := chain.Compute(ctx, "k", func() ([]byte, error) {
+		t.Error("waiter must not compute")
+		return nil, nil
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("waiter err = %v, want context.Canceled", err)
+	}
+	close(release)
+	<-leaderDone
+}
+
+// TestChainComputeLeaderRechecksCache: a value that landed in any tier
+// between the caller's counted miss and its Compute call is served by the
+// leader's re-probe — no compute runs, the result reads as a hit, and the
+// value is promoted into the faster tiers.
+func TestChainComputeLeaderRechecksCache(t *testing.T) {
+	mem, disk := newFakeTier("memory"), newFakeTier("disk")
+	disk.data["k"] = []byte("already")
+	chain := Chain(mem, disk)
+	v, hit, err := chain.Compute(context.Background(), "k", func() ([]byte, error) {
+		t.Error("compute must not run when the value already landed")
+		return nil, nil
+	})
+	if err != nil || !hit || string(v) != "already" {
+		t.Errorf("Compute = %q, hit=%v, err=%v", v, hit, err)
+	}
+	if string(mem.data["k"]) != "already" {
+		t.Error("re-probe hit not promoted into the memory tier")
 	}
 }
 

@@ -1,6 +1,7 @@
 package resultstore
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -8,15 +9,16 @@ import (
 	"sync/atomic"
 	"time"
 
-	"cdcs/internal/fanout"
 	"cdcs/internal/fleet"
 )
 
 // PeerTier consults sibling replicas before the chain falls through to a
 // recompute: a read-only tier that fetches entries by content address from
-// GET /v1/blob/{hash} on its peers. Replicas are ranked per key with the
-// same rendezvous hashing the sweep fan-out uses to route cells
-// (fanout.Rank), so the first peers asked are exactly the replicas the
+// GET /v1/blob/{hash} on its peers. The peers are the members of a fleet
+// (internal/fleet), read live on every lookup, so replicas that join or
+// drain are picked up without reconstruction. Peers are ranked per key with
+// the same rendezvous hashing the sweep fan-out uses to route cells
+// (fleet.Rank), so the first peers asked are exactly the replicas the
 // fleet's clients would have sent the work to — the likely holders. A hit
 // is promoted into the faster local tiers by the chain, which is how a
 // replica starting with an empty cache directory joins the fleet warm: its
@@ -34,17 +36,13 @@ import (
 // a cold hash (a sweep's worth of clients converging on one cell) cost one
 // peer round trip, not N.
 //
-// With a fleet view attached (UseFleet), membership is health-checked:
-// peers whose circuit breaker is open are skipped outright — a dead peer
-// costs nothing after the breaker trips, instead of a dial timeout per
-// lookup — and every fetch's outcome feeds the view.
+// Peers are health-checked by the fleet: peers whose circuit breaker is
+// open are skipped outright — a dead peer costs nothing after the breaker
+// trips, instead of a dial timeout per lookup — and every fetch's outcome
+// feeds the fleet.
 type PeerTier struct {
-	peers       []string
-	client      *http.Client
-	maxAttempts int
-	fleet       *fleet.Fleet
-	membership  *fleet.Membership // non-nil: live peer list (members − self)
-	self        string            // this replica's own advertised URL
+	fleet  *fleet.Fleet
+	client *http.Client
 
 	flightMu sync.Mutex
 	flight   map[string]*peerFlight
@@ -67,53 +65,18 @@ type peerFlight struct {
 // turning a fleet-wide cold miss into a full broadcast.
 const DefaultPeerAttempts = 2
 
-// NewPeerTier builds a peer tier over sibling base URLs (e.g.
-// "http://10.0.0.2:8080"). client may be nil for a default with a 5s
-// timeout; maxAttempts ≤ 0 means DefaultPeerAttempts, capped at the number
-// of peers.
-func NewPeerTier(peers []string, client *http.Client, maxAttempts int) *PeerTier {
+// NewPeerTier builds a peer tier over the members of fl (which should not
+// include this replica itself). client may be nil for a default with a 5s
+// timeout.
+func NewPeerTier(fl *fleet.Fleet, client *http.Client) *PeerTier {
 	if client == nil {
 		client = &http.Client{Timeout: 5 * time.Second}
 	}
-	if maxAttempts <= 0 {
-		maxAttempts = DefaultPeerAttempts
-	}
 	return &PeerTier{
-		peers:       fanout.NormalizeReplicas(peers),
-		client:      client,
-		maxAttempts: maxAttempts,
-		flight:      map[string]*peerFlight{},
+		fleet:  fl,
+		client: client,
+		flight: map[string]*peerFlight{},
 	}
-}
-
-// UseFleet attaches a fleet view: breaker-open peers are skipped and fetch
-// outcomes feed the view's instrumentation. Call before serving traffic.
-func (p *PeerTier) UseFleet(f *fleet.Fleet) { p.fleet = f }
-
-// UseMembership makes the peer list live: lookups walk the registry's
-// current members (minus this replica's own advertised URL, self) instead
-// of the static list given to NewPeerTier, so peers that join or drain are
-// picked up without reconstruction. Call before serving traffic.
-func (p *PeerTier) UseMembership(m *fleet.Membership, self string) {
-	p.membership = m
-	if n := fanout.NormalizeReplicas([]string{self}); len(n) == 1 {
-		p.self = n[0]
-	}
-}
-
-// peerList resolves the peers a lookup may consult right now.
-func (p *PeerTier) peerList() []string {
-	if p.membership == nil {
-		return p.peers
-	}
-	members := p.membership.Members()
-	out := members[:0]
-	for _, m := range members {
-		if m != p.self {
-			out = append(out, m)
-		}
-	}
-	return out
 }
 
 // Name implements Tier.
@@ -143,9 +106,10 @@ func (p *PeerTier) Peek(key string) ([]byte, bool) {
 }
 
 // fetch coalesces concurrent lookups of one key onto a single network walk
-// (fetchLocked does the walking).
+// (walk does the walking).
 func (p *PeerTier) fetch(key string) ([]byte, bool) {
-	if len(p.peerList()) == 0 {
+	peers := p.fleet.Replicas()
+	if len(peers) == 0 {
 		return nil, false
 	}
 	p.flightMu.Lock()
@@ -158,7 +122,7 @@ func (p *PeerTier) fetch(key string) ([]byte, bool) {
 	p.flight[key] = fl
 	p.flightMu.Unlock()
 
-	fl.val, fl.ok = p.walk(key)
+	fl.val, fl.ok = p.walk(peers, key)
 
 	p.flightMu.Lock()
 	delete(p.flight, key)
@@ -167,30 +131,24 @@ func (p *PeerTier) fetch(key string) ([]byte, bool) {
 	return fl.val, fl.ok
 }
 
-// walk tries the key's rendezvous ranking. A clean 404 means that peer
-// simply does not hold the entry; transport errors, non-200 statuses and
-// integrity failures count in Errors. Either way the next ranked holder is
-// tried, and running out of holders is a miss. Breaker-open peers are
-// skipped without a request when a fleet view is attached.
-func (p *PeerTier) walk(key string) ([]byte, bool) {
-	ranked := fanout.Rank(p.peerList(), key)
+// walk tries the key's rendezvous ranking over peers. A clean 404 means
+// that peer simply does not hold the entry; transport errors, non-200
+// statuses and integrity failures count in Errors. Either way the next
+// ranked holder is tried, and running out of holders is a miss.
+// Breaker-open peers are skipped without a request.
+func (p *PeerTier) walk(peers []string, key string) ([]byte, bool) {
 	attempts := 0
-	for _, peer := range ranked {
-		if attempts >= p.maxAttempts {
+	for _, peer := range fleet.Rank(peers, key) {
+		if attempts >= DefaultPeerAttempts {
 			break
 		}
-		if p.fleet != nil && !p.fleet.Healthy(peer) {
+		if !p.fleet.Healthy(peer) {
 			continue
 		}
 		attempts++
-		var end func(error)
-		if p.fleet != nil {
-			end = p.fleet.Begin(peer)
-		}
-		val, err := p.fetchOne(peer, key)
-		if end != nil {
-			end(err)
-		}
+		end := p.fleet.Begin(peer)
+		val, err := FetchBlob(context.TODO(), p.client, peer, key) // Tier.Get carries no context
+		end(err)
 		if err != nil {
 			p.errors.Add(1)
 			continue
@@ -202,10 +160,15 @@ func (p *PeerTier) walk(key string) ([]byte, bool) {
 	return nil, false
 }
 
-// fetchOne asks a single peer for the framed entry. Returns (nil, nil) for
-// a clean not-found — the peer is healthy, it just doesn't hold the key.
-func (p *PeerTier) fetchOne(peer, key string) ([]byte, error) {
-	resp, err := p.client.Get(peer + "/v1/blob/" + key)
+// FetchBlob asks one peer for the framed entry under key and verifies it
+// (DecodeBlob). Returns (nil, nil) for a clean not-found — the peer is
+// healthy, it just doesn't hold the key.
+func FetchBlob(ctx context.Context, client *http.Client, peer, key string) ([]byte, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/v1/blob/"+key, nil)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := client.Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -239,9 +202,6 @@ const maxBlobBytes = 64 << 20
 // peers are filled by their own compute-and-write-through paths, not pushed
 // to.
 func (p *PeerTier) Put(string, []byte) {}
-
-// Peers returns the normalized peer list.
-func (p *PeerTier) Peers() []string { return p.peers }
 
 // Stats implements Tier. Entries/Bytes stay zero: the tier holds nothing.
 func (p *PeerTier) Stats() TierStats {

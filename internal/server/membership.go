@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"cdcs/internal/fleet"
 	"cdcs/internal/resultstore"
 )
 
@@ -161,10 +162,11 @@ func (s *Server) handleMembershipChange(w http.ResponseWriter, r *http.Request, 
 	switch {
 	case msg.URL != "":
 		change(msg.URL)
-	case len(msg.Members) > 0 || msg.Epoch > 0:
+	case len(fleet.Normalize(msg.Members)) > 0:
 		s.membership.Apply(msg.Members, msg.Epoch)
 	default:
-		writeErr(w, http.StatusBadRequest, "need url (announcement) or members+epoch (gossip)")
+		// Gossip with no members is malformed: a fleet always has one.
+		writeErr(w, http.StatusBadRequest, "need url (announcement) or a non-empty members list (gossip)")
 		return
 	}
 	members, epoch := s.membership.Snapshot()
@@ -250,8 +252,7 @@ func (s *Server) propagate(members []string, epoch uint64) {
 			}
 			defer resp.Body.Close()
 			var theirs membershipMessage
-			if json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&theirs) == nil &&
-				len(theirs.Members) > 0 {
+			if json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&theirs) == nil {
 				s.membership.Apply(theirs.Members, theirs.Epoch)
 			}
 		}()
@@ -297,7 +298,7 @@ type warmFiller interface {
 // manifest or join endpoint aborts the join with the fleet unchanged: a
 // replica that cannot complete the handshake never becomes a member.
 func (s *Server) JoinFleet(ctx context.Context) (JoinStats, error) {
-	st := JoinStats{Seed: normalizeURL(s.opts.Join)}
+	st := JoinStats{Seed: fleet.NormalizeURL(s.opts.Join)}
 	if st.Seed == "" {
 		return st, fmt.Errorf("server: JoinFleet without Options.Join")
 	}
@@ -341,9 +342,9 @@ func (s *Server) JoinFleet(ctx context.Context) (JoinStats, error) {
 						mu.Unlock()
 						continue
 					}
-					val, err := s.fetchBlob(ctx, st.Seed, key)
+					val, err := resultstore.FetchBlob(ctx, s.client, st.Seed, key)
 					mu.Lock()
-					if err != nil {
+					if err != nil || val == nil { // val nil: the seed no longer holds key
 						st.Failed++
 					} else {
 						filler.Put(key, val)
@@ -391,28 +392,6 @@ func (s *Server) JoinFleet(ctx context.Context) (JoinStats, error) {
 	st.Members = len(s.membership.Members())
 	st.Elapsed = time.Since(start)
 	return st, nil
-}
-
-// fetchBlob fetches and verifies one framed entry from a peer.
-func (s *Server) fetchBlob(ctx context.Context, peer, key string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/v1/blob/"+key, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := s.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		return nil, fmt.Errorf("%s", resp.Status)
-	}
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		return nil, err
-	}
-	return resultstore.DecodeBlob(key, raw)
 }
 
 // getJSON issues one GET and decodes the JSON response into v.

@@ -129,6 +129,33 @@ func TestMembershipEndpointsConverge(t *testing.T) {
 	}
 }
 
+// TestEmptyGossipIsRejected: gossip whose member list is empty (or empty
+// once normalized) is malformed — a fleet always has a member — so join and
+// leave answer 400 and the receiver's view, epoch included, is untouched.
+// Applied, one such message would wipe the view and gossip the wipe to
+// every member.
+func TestEmptyGossipIsRejected(t *testing.T) {
+	s, url := liveServer(t, Options{})
+	before, beforeEpoch := s.membership.Snapshot()
+	for _, path := range []string{"/v1/join", "/v1/leave"} {
+		for _, body := range []string{
+			`{"members":[],"epoch":999}`,
+			`{"epoch":999}`,
+			`{"members":[" ","/"],"epoch":1000}`,
+		} {
+			resp := postJSON(t, url+path, body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s %s -> %d, want 400", path, body, resp.StatusCode)
+			}
+		}
+	}
+	after, afterEpoch := s.membership.Snapshot()
+	if strings.Join(after, ",") != strings.Join(before, ",") || afterEpoch != beforeEpoch {
+		t.Errorf("view after empty gossip = %v@%d, want %v@%d", after, afterEpoch, before, beforeEpoch)
+	}
+}
+
 // TestHealthzCarriesIdentityAndMembership pins the probe payload: /healthz
 // stays a 200 "ok" for liveness, but now also carries the instance id and
 // the (members, epoch) snapshot that fleet probers and sweep coordinators

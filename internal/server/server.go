@@ -216,7 +216,7 @@ func New(opts Options) (*Server, error) {
 		}
 	}
 	opts = opts.withDefaults()
-	advertise := normalizeURL(opts.Advertise)
+	advertise := fleet.NormalizeURL(opts.Advertise)
 	var membership *fleet.Membership
 	if advertise != "" || len(opts.Peers) > 0 {
 		// A replica that will join through a seed (Options.Join) starts
@@ -249,14 +249,13 @@ func New(opts Options) (*Server, error) {
 			tiers = append(tiers, disk)
 		}
 		if membership != nil {
-			peer := resultstore.NewPeerTier(opts.Peers, nil, 0)
-			peer.UseMembership(membership, advertise)
+			// The fleet holds the members minus this replica (kept so by the
+			// OnChange hook below) and is the peer tier's peer list.
 			fl = fleet.New(without(membership.Members(), advertise), fleet.Options{
 				ProbeInterval:    opts.FleetProbeInterval,
 				BreakerThreshold: opts.FleetBreakerThreshold,
 			})
-			peer.UseFleet(fl)
-			tiers = append(tiers, peer)
+			tiers = append(tiers, resultstore.NewPeerTier(fl, nil))
 		}
 		store = resultstore.Chain(tiers...)
 	}
@@ -300,13 +299,6 @@ func without(urls []string, self string) []string {
 		}
 	}
 	return out
-}
-
-// normalizeURL trims a base URL the way fanout.NormalizeReplicas does, so
-// the serving layer names replicas with the same strings the routing layers
-// rank.
-func normalizeURL(u string) string {
-	return strings.TrimRight(strings.TrimSpace(u), "/")
 }
 
 // Close stops the background goroutines (gossip, drain loop), the worker

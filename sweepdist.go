@@ -24,8 +24,10 @@ import (
 
 // DistributedSweepOptions tunes SweepDistributed. The zero value is usable.
 type DistributedSweepOptions struct {
-	// Client is the HTTP client used for replica requests (default
-	// http.DefaultClient — supply one with a timeout for production use).
+	// Client is the HTTP client used for replica requests and health
+	// probes (default: cell requests use a client with a 15-minute timeout,
+	// the longest a /v1/compare runs on a default replica, and probes one
+	// bounded by the probe timeout).
 	Client *http.Client
 	// Parallelism caps concurrent in-flight cell requests across all
 	// replicas (default 4 per replica).
@@ -135,7 +137,7 @@ func SweepDistributed(req SweepRequest, replicas []string, opts DistributedSweep
 	// mid-sweep starts absorbing the not-yet-dispatched cells it owns, and
 	// one that drains stops receiving new ones. The member list given here
 	// is only the starting point.
-	fl := fleet.New(fanout.NormalizeReplicas(replicas), fleet.Options{
+	fl := fleet.New(replicas, fleet.Options{
 		ProbeInterval:    opts.FleetProbeInterval,
 		BreakerThreshold: opts.FleetBreakerThreshold,
 		TopK:             opts.TopK,
@@ -146,14 +148,12 @@ func SweepDistributed(req SweepRequest, replicas []string, opts DistributedSweep
 	fl.Start()
 	defer fl.Close()
 
-	results, fstats, err := fanout.Do(ctx, replicas, units, fanout.Options{
+	results, fstats, err := fanout.Do(ctx, fl, units, fanout.Options{
 		Client:      opts.Client,
 		Path:        "/v1/compare",
 		Parallelism: opts.Parallelism,
 		OnProgress:  opts.Progress,
-		Fleet:       fl,
 		HotLatency:  opts.HotCellLatency,
-		Members:     fl.Replicas,
 	})
 	stats := &SweepReplicaStats{
 		Assigned:   map[string]int{},
