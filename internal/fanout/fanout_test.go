@@ -123,6 +123,28 @@ func TestDoSpreadsCellsAcrossReplicas(t *testing.T) {
 	}
 }
 
+// TestNormalizeReplicas: the fan-out sees replicas under the fleet's one
+// spelling — padded, slash-suffixed, blank and duplicate entries collapse
+// to one replica each, and the stats are keyed by the normalized URL.
+func TestNormalizeReplicas(t *testing.T) {
+	a := echoReplica(t, "a", nil)
+	b := echoReplica(t, "b", nil)
+	fl := static(t, fleet.Options{}, " "+a.URL+"/ ", "", a.URL, b.URL)
+	results, stats, err := Do(context.Background(), fl, makeCells(32), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 32 {
+		t.Fatalf("%d results", len(results))
+	}
+	if len(stats.Replicas) != 2 {
+		t.Fatalf("stats keyed by %d replicas, want 2: %v", len(stats.Replicas), stats.Replicas)
+	}
+	if sa, sb := stats.Replicas[a.URL], stats.Replicas[b.URL]; sa.Served+sb.Served != 32 {
+		t.Errorf("served %d+%d != 32 under normalized names", sa.Served, sb.Served)
+	}
+}
+
 func TestDoRetriesOnSurvivingReplica(t *testing.T) {
 	var aHits atomic.Int64
 	a := echoReplica(t, "a", &aHits)

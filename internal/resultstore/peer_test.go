@@ -212,6 +212,27 @@ func TestPeerTierSurvivesDeadPeer(t *testing.T) {
 	}
 }
 
+// TestPeerTierNormalizesPeers: the peer tier reads its peers from the
+// fleet, so differently spelled copies of one URL are one peer — a cold
+// miss asks it once, not once per spelling.
+func TestPeerTierNormalizesPeers(t *testing.T) {
+	val := []byte("v")
+	srv, requests := blobServer(t, map[string][]byte{"k": val})
+	p := peerTier(t, nil, " "+srv.URL+" ", srv.URL+"/", srv.URL+"//", "", srv.URL)
+	if _, ok := p.Get("cold"); ok {
+		t.Fatal("miss reported as hit")
+	}
+	if n := requests.Load(); n != 1 {
+		t.Errorf("cold miss asked the peer %d times, want 1", n)
+	}
+	if st := p.Stats(); st.Errors != 0 {
+		t.Errorf("a peer spelling failed to fetch: %+v", st)
+	}
+	if got, ok := p.Get("k"); !ok || !bytes.Equal(got, val) {
+		t.Errorf("Get through normalized peer = %q, %v", got, ok)
+	}
+}
+
 func TestPeerTierAttemptsBounded(t *testing.T) {
 	// Three peers, none holding the key: only DefaultPeerAttempts of them
 	// may be asked, so a fleet-wide cold miss is not a broadcast.
