@@ -327,10 +327,9 @@ func TestDoBoundsHungReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(proxy.Close)
-	// Ten client deadlines long. The stall is not cut short by the client
-	// hanging up (the proxy has not read the POST body, so it cannot see the
-	// disconnect), and the proxy's Close waits it out — keep it short.
-	proxy.SetHang(time.Second)
+	// Far past the client deadline: only the deadline can end this request.
+	// The stall ends when the client hangs up, so Close does not wait it out.
+	proxy.SetHang(time.Minute)
 
 	cells := makeCells(12)
 	fl := static(t, fleet.Options{BreakerThreshold: 1}, alive.URL, proxy.URL())

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 )
@@ -85,7 +86,7 @@ func (m *Membership) Join(url string) bool {
 		}
 	}
 	m.members = Normalize(append(m.members, url))
-	m.epoch++
+	m.epoch = nextEpoch(m.epoch)
 	members, epoch := append([]string(nil), m.members...), m.epoch
 	fns := append(make([]func([]string, uint64), 0, len(m.onChange)), m.onChange...)
 	m.mu.Unlock()
@@ -114,7 +115,7 @@ func (m *Membership) Leave(url string) bool {
 		return false
 	}
 	m.members = kept
-	m.epoch++
+	m.epoch = nextEpoch(m.epoch)
 	members, epoch := append([]string(nil), m.members...), m.epoch
 	fns := append(make([]func([]string, uint64), 0, len(m.onChange)), m.onChange...)
 	m.mu.Unlock()
@@ -156,7 +157,7 @@ func (m *Membership) Apply(members []string, epoch uint64) bool {
 		// Same epoch, different lists: two changes raced. The union under
 		// the successor epoch is a deterministic merge both sides agree on.
 		incoming = Normalize(append(incoming, m.members...))
-		epoch++
+		epoch = nextEpoch(epoch)
 	}
 	added, removed := diffMembers(m.members, incoming)
 	m.members = incoming
@@ -170,6 +171,17 @@ func (m *Membership) Apply(members []string, epoch uint64) bool {
 		fn(snapshot, snapEpoch)
 	}
 	return true
+}
+
+// nextEpoch is the epoch after e, saturating at math.MaxUint64: a wrap to 0
+// would make every stale snapshot look newer and let it undo later changes.
+// At the ceiling, changes keep the epoch and equal-epoch merging (the union)
+// reconciles the views.
+func nextEpoch(e uint64) uint64 {
+	if e == math.MaxUint64 {
+		return e
+	}
+	return e + 1
 }
 
 // OnChange registers a callback invoked (outside the registry lock) after

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"math"
 	"reflect"
 	"testing"
 )
@@ -144,5 +145,27 @@ func TestMembershipOnChange(t *testing.T) {
 	// Apply counted one add and one remove against the previous view.
 	if m.Joins() != 2 || m.Leaves() != 2 {
 		t.Errorf("Joins/Leaves = %d/%d, want 2/2", m.Joins(), m.Leaves())
+	}
+}
+
+// TestMembershipEpochSaturates: a change at the top epoch must not wrap the
+// counter to 0, or stale low-epoch gossip would be adopted and undo it.
+func TestMembershipEpochSaturates(t *testing.T) {
+	m := NewMembership(nil)
+	old := []string{"http://a:1"}
+	if !m.Apply(old, math.MaxUint64) {
+		t.Fatal("snapshot at MaxUint64 not adopted")
+	}
+	if !m.Join("http://b:2") {
+		t.Fatal("join not applied")
+	}
+	if got := m.Epoch(); got != math.MaxUint64 {
+		t.Fatalf("epoch after join at MaxUint64 = %d, want MaxUint64", got)
+	}
+	if m.Apply(old, 1) {
+		t.Error("stale epoch-1 snapshot was adopted")
+	}
+	if want := []string{"http://a:1", "http://b:2"}; !reflect.DeepEqual(m.Members(), want) {
+		t.Errorf("members = %v, want %v", m.Members(), want)
 	}
 }

@@ -6,12 +6,13 @@ import (
 	"sync/atomic"
 )
 
-// TierChain is a fallback chain of tiers behind a single singleflight head:
-// the one Store implementation, built with Chain. Lookups probe tiers
-// fastest-first and a hit at tier i is promoted into every faster tier, so
-// the working set migrates toward memory (and a cold replica joining a fleet
-// with a peer tier fills its local tiers as it serves). A full miss computes
-// once and writes through to every tier.
+// TierChain is a fallback chain of tiers behind a single singleflight head,
+// built with Chain. Lookups probe tiers fastest-first and a hit at tier i is
+// promoted into every faster tier, so the working set migrates toward memory
+// (and a cold replica joining a fleet with a peer tier fills its local tiers
+// as it serves). A full miss computes once and writes through to every tier.
+// Its methods are safe for concurrent use, and the byte slices they return
+// are shared — callers must not modify them.
 //
 // Singleflight lives once, at the chain head: for a given address there is
 // at most one probe sequence and at most one computation in flight
@@ -35,8 +36,8 @@ type chainCall struct {
 	err  error
 }
 
-// Chain composes tiers, fastest first, into a Store. At least one tier is
-// required; NewMemory and NewTiered are the common compositions.
+// Chain composes tiers, fastest first, into a store. At least one tier is
+// required.
 func Chain(tiers ...Tier) *TierChain {
 	if len(tiers) == 0 {
 		panic("resultstore: Chain needs at least one tier")
@@ -44,12 +45,8 @@ func Chain(tiers ...Tier) *TierChain {
 	return &TierChain{tiers: tiers, flight: map[string]*chainCall{}}
 }
 
-// Tiers returns the chain's tiers, fastest first. The slice is shared; do
-// not modify it.
-func (c *TierChain) Tiers() []Tier { return c.tiers }
-
-// Get implements Store: probe tiers in order, counting a hit or miss on
-// each tier probed, and promote a hit into every faster tier.
+// Get probes tiers in order, counting a hit or miss on each tier probed, and
+// promotes a hit into every faster tier.
 func (c *TierChain) Get(key string) ([]byte, bool) {
 	for i, t := range c.tiers {
 		if v, ok := t.Get(key); ok {
@@ -72,20 +69,17 @@ func (c *TierChain) promote(key string, val []byte, foundAt int) {
 // index that served the value so the caller can promote.
 func (c *TierChain) peek(key string) ([]byte, bool, int) {
 	for i, t := range c.tiers {
-		if p, ok := t.(peeker); ok {
-			if v, ok := p.Peek(key); ok {
-				return v, true, i
-			}
-			continue
-		}
-		if v, ok := t.Get(key); ok {
+		if v, ok := t.Peek(key); ok {
 			return v, true, i
 		}
 	}
 	return nil, false, 0
 }
 
-// GetOrCompute implements Store.
+// GetOrCompute returns the bytes for key, computing and storing them on a
+// full miss. Concurrent calls for one key coalesce onto a single
+// computation. hit reports whether the bytes came from a tier (or a
+// coalesced flight) rather than this caller's own compute.
 func (c *TierChain) GetOrCompute(ctx context.Context, key string, compute func() ([]byte, error)) ([]byte, bool, error) {
 	// The counted lookup probes the tiers (and promotes a hit), so one
 	// logical lookup counts exactly once per tier probed; the flight's own
@@ -96,12 +90,13 @@ func (c *TierChain) GetOrCompute(ctx context.Context, key string, compute func()
 	return c.Compute(ctx, key, compute)
 }
 
-// Compute implements Store, for callers whose counted lookup already
-// missed. The leader of a flight re-probes every tier uncounted — the value
-// may have landed in a tier between the caller's lookup and the flight — so
-// a late hit short-circuits the computation and is promoted like any other,
-// while a real miss computes and writes through to every tier. Either way
-// the result is a hit whenever this caller's compute did not run.
+// Compute is GetOrCompute without the initial counted lookup, for callers
+// whose counted lookup already missed. The leader of a flight re-probes
+// every tier uncounted — the value may have landed in a tier between the
+// caller's lookup and the flight — so a late hit short-circuits the
+// computation and is promoted like any other, while a real miss computes
+// and writes through to every tier. Either way the result is a hit whenever
+// this caller's compute did not run.
 func (c *TierChain) Compute(ctx context.Context, key string, compute func() ([]byte, error)) ([]byte, bool, error) {
 	c.flightMu.Lock()
 	if cl, ok := c.flight[key]; ok {
@@ -149,13 +144,7 @@ func (c *TierChain) GetLocal(key string) ([]byte, bool) {
 		if _, ok := t.(remoteTier); ok {
 			continue
 		}
-		if p, ok := t.(peeker); ok {
-			if v, ok := p.Peek(key); ok {
-				return v, true
-			}
-			continue
-		}
-		if v, ok := t.Get(key); ok {
+		if v, ok := t.Peek(key); ok {
 			return v, true
 		}
 	}
@@ -203,7 +192,7 @@ func (c *TierChain) Put(key string, val []byte) {
 	}
 }
 
-// Stats implements Store: tier snapshots fastest first, plus the chain-head
+// Stats snapshots per-tier counters fastest first, plus the chain-head
 // flight counters.
 func (c *TierChain) Stats() Stats {
 	ts := make([]TierStats, len(c.tiers))

@@ -325,21 +325,18 @@ func (d *ChunkedDisk) get(key string) ([]byte, bool) {
 	return out, true
 }
 
-// Put stores key's bytes: chunk, compress, write the chunks this store does
-// not already hold, then the manifest, evicting LRU entries past the cap.
-// Failures are tolerated (counted in Errors) — the tier is an accelerator,
-// never a correctness dependency.
+// Put stores key's bytes: chunk and hash, compress and write only the
+// chunks this store does not already hold, then the manifest, evicting LRU
+// entries past the cap. Failures are tolerated (counted in Errors) — the
+// tier is an accelerator, never a correctness dependency.
 func (d *ChunkedDisk) Put(key string, val []byte) {
 	name := manifestName(key)
 	spans := splitChunks(val)
 	refs := make([]chunkRef, len(spans))
-	comps := make([][]byte, len(spans))
 	for i, sp := range spans {
-		comps[i] = compressChunk(sp)
-		refs[i] = chunkRef{sum: sha256.Sum256(sp), clen: uint32(len(comps[i]))}
+		refs[i].sum = sha256.Sum256(sp)
 	}
 	sum := sha256.Sum256(val)
-	manifest := encodeManifest(sum, int64(len(val)), refs)
 
 	// Index update and file visibility are atomic with respect to dropStale
 	// and eviction, so readers can never remove what this Put just wrote:
@@ -350,18 +347,23 @@ func (d *ChunkedDisk) Put(key string, val []byte) {
 	written := map[string]int64{} // chunks written by this Put: hex → size
 	for i, cr := range refs {
 		h := hex.EncodeToString(cr.sum[:])
-		if _, ok := d.chunks[h]; ok {
-			continue // dedup: already on disk (or just written above)
+		if ci, ok := d.chunks[h]; ok {
+			refs[i].clen = uint32(ci.size) // dedup: already on disk
+			continue
 		}
-		if _, ok := written[h]; ok {
-			continue // repeated chunk within this payload
+		if size, ok := written[h]; ok {
+			refs[i].clen = uint32(size) // repeated chunk within this payload
+			continue
 		}
-		if !d.writeFileLocked(d.chunkPath(h), comps[i]) {
+		comp := compressChunk(spans[i])
+		if !d.writeFileLocked(d.chunkPath(h), comp) {
 			d.unwindLocked(written)
 			return
 		}
-		written[h] = int64(len(comps[i]))
+		written[h] = int64(len(comp))
+		refs[i].clen = uint32(len(comp))
 	}
+	manifest := encodeManifest(sum, int64(len(val)), refs)
 	if !d.writeFileLocked(d.manifestPath(name), manifest) {
 		d.unwindLocked(written)
 		return

@@ -2,6 +2,7 @@ package resultstore
 
 import (
 	"bytes"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -107,6 +108,28 @@ func TestChunkedDedupAndCompression(t *testing.T) {
 	}
 	if st.Bytes != onDisk {
 		t.Errorf("Stats().Bytes = %d, on-disk total = %d", st.Bytes, onDisk)
+	}
+
+	// Every manifest records each chunk's stored size, deduplicated chunks
+	// included.
+	for i := range vals {
+		raw, err := os.ReadFile(d.manifestPath(manifestName(fmt.Sprintf("k%d", i))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := decodeManifest(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cr := range e.chunks {
+			info, err := os.Stat(d.chunkPath(hex.EncodeToString(cr.sum[:])))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if int64(cr.clen) != info.Size() {
+				t.Errorf("k%d: manifest clen %d, chunk file holds %d bytes", i, cr.clen, info.Size())
+			}
+		}
 	}
 }
 

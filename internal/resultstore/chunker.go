@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"sync"
 )
 
 // Content-defined chunking (FastCDC-style) for the chunked disk tier.
@@ -102,23 +103,39 @@ func splitChunks(data []byte) [][]byte {
 // few-KB chunk sizes used here DEFLATE's ratio on JSON payloads is within a
 // few percent of zstd's while keeping the store self-contained.
 
+// The codecs carry tens of KB of state each, so they are pooled and Reset
+// per chunk rather than built per call. A reset writer emits the same bytes
+// as a fresh one, so pooling does not change what lands on disk.
+var (
+	flateWriters = sync.Pool{New: func() any {
+		zw, err := flate.NewWriter(nil, flate.DefaultCompression)
+		if err != nil { // impossible for a valid level
+			panic(err)
+		}
+		return zw
+	}}
+	flateReaders = sync.Pool{New: func() any { return flate.NewReader(bytes.NewReader(nil)) }}
+)
+
 // compressChunk returns chunk DEFLATE-compressed.
 func compressChunk(chunk []byte) []byte {
 	var buf bytes.Buffer
-	zw, err := flate.NewWriter(&buf, flate.DefaultCompression)
-	if err != nil { // impossible for a valid level; fall back to stored
-		panic(err)
-	}
+	zw := flateWriters.Get().(*flate.Writer)
+	zw.Reset(&buf)
 	_, _ = zw.Write(chunk) // bytes.Buffer writes cannot fail
 	_ = zw.Close()
+	flateWriters.Put(zw)
 	return buf.Bytes()
 }
 
 // decompressChunk inflates a compressed chunk, rejecting anything that
 // exceeds the chunker's maximum size (a corrupt stream must not balloon).
 func decompressChunk(comp []byte) ([]byte, error) {
-	zr := flate.NewReader(bytes.NewReader(comp))
-	defer zr.Close()
+	zr := flateReaders.Get().(io.ReadCloser)
+	defer flateReaders.Put(zr)
+	if err := zr.(flate.Resetter).Reset(bytes.NewReader(comp), nil); err != nil {
+		return nil, fmt.Errorf("resultstore: inflate chunk: %w", err)
+	}
 	out, err := io.ReadAll(io.LimitReader(zr, chunkMax+1))
 	if err != nil {
 		return nil, fmt.Errorf("resultstore: inflate chunk: %w", err)

@@ -1,12 +1,12 @@
-package resultcache
+package resultstore
 
 import (
 	"fmt"
 	"testing"
 )
 
-func TestGetPutRoundTrip(t *testing.T) {
-	c := New(64)
+func TestMemoryGetPutRoundTrip(t *testing.T) {
+	c := MemoryTier(64)
 	if _, ok := c.Get("a"); ok {
 		t.Fatal("empty cache reported a hit")
 	}
@@ -23,7 +23,7 @@ func TestGetPutRoundTrip(t *testing.T) {
 
 // storedBytes walks the shards and sums the actual stored sizes (key plus
 // value), the quantity Stats().Bytes claims to track.
-func storedBytes(c *Cache) int64 {
+func storedBytes(c *Memory) int64 {
 	var n int64
 	for i := range c.shards {
 		s := &c.shards[i]
@@ -37,8 +37,8 @@ func storedBytes(c *Cache) int64 {
 	return n
 }
 
-func TestByteAccountingMatchesStoredSizes(t *testing.T) {
-	c := New(2 * nShards)
+func TestMemoryByteAccountingMatchesStoredSizes(t *testing.T) {
+	c := MemoryTier(2 * nShards)
 	// Mixed key and value lengths, enough inserts to force evictions, plus
 	// same-key refreshes that grow and shrink the value.
 	for i := 0; i < 8*nShards; i++ {
@@ -56,7 +56,7 @@ func TestByteAccountingMatchesStoredSizes(t *testing.T) {
 }
 
 // shardKeys returns distinct keys that all map to the same shard of c.
-func shardKeys(c *Cache, n int) []string {
+func shardKeys(c *Memory, n int) []string {
 	target := c.shardFor(fmt.Sprint("seed"))
 	var out []string
 	for i := 0; len(out) < n; i++ {
@@ -68,10 +68,10 @@ func shardKeys(c *Cache, n int) []string {
 	return out
 }
 
-func TestLRUEvictionOrder(t *testing.T) {
+func TestMemoryLRUEvictionOrder(t *testing.T) {
 	// Capacity 2 per shard; steer all keys onto one shard so eviction order
 	// is fully observable.
-	c := New(2 * nShards)
+	c := MemoryTier(2 * nShards)
 	k := shardKeys(c, 3)
 
 	c.Put(k[0], []byte("0"))
@@ -95,9 +95,9 @@ func TestLRUEvictionOrder(t *testing.T) {
 	}
 }
 
-func TestEvictionBoundsOccupancy(t *testing.T) {
+func TestMemoryEvictionBoundsOccupancy(t *testing.T) {
 	const capacity = 2 * nShards
-	c := New(capacity)
+	c := MemoryTier(capacity)
 	for i := 0; i < 10*capacity; i++ {
 		c.Put(fmt.Sprintf("k%d", i), []byte("x"))
 	}
@@ -113,8 +113,8 @@ func TestEvictionBoundsOccupancy(t *testing.T) {
 	}
 }
 
-func TestPutRefreshSameKey(t *testing.T) {
-	c := New(64)
+func TestMemoryPutRefreshSameKey(t *testing.T) {
+	c := MemoryTier(64)
 	c.Put("k", []byte("v1"))
 	c.Put("k", []byte("longer-v2"))
 	v, ok := c.Get("k")

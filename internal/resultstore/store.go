@@ -1,43 +1,17 @@
-// Package resultstore layers the content-addressed result caches into a
-// fallback chain of tiers — memory, persistent disk (whole-entry or
-// chunked+compressed), peer replicas — behind one small Store interface the
-// serving layer programs against.
+// Package resultstore is the content-addressed result cache: a fallback
+// chain of tiers — a sharded in-memory LRU, persistent disk (whole-entry or
+// chunked+compressed), peer replicas — behind one TierChain the serving
+// layer holds.
 //
-// The contract is the same one the memory cache established: simulation is
-// an expensive pure function of a request's content address, so any tier
-// may serve any address and all tiers hold identical bytes for it. The
-// chain composition preserves singleflight semantics across tiers — for a
-// given address there is at most one probe sequence and at most one
-// simulation in flight process-wide, no matter how many tiers sit in the
-// path. A miss only reaches the next tier when every faster tier missed,
-// so a recompute happens only when the whole chain (including any peer
-// replicas) came up empty.
+// Simulation is an expensive pure function of a request's content address,
+// so any tier may serve any address and all tiers hold identical bytes for
+// it. The chain preserves singleflight semantics across tiers — for a given
+// address there is at most one probe sequence and at most one simulation in
+// flight process-wide, no matter how many tiers sit in the path. A miss
+// only reaches the next tier when every faster tier missed, so a recompute
+// happens only when the whole chain (including any peer replicas) came up
+// empty.
 package resultstore
-
-import "context"
-
-// Store is the result-cache surface the serving layer uses: content-hash
-// keyed byte lookups with coalesced computation on miss.
-//
-// All implementations in this package are safe for concurrent use, and the
-// byte slices they return are shared — callers must not modify them.
-type Store interface {
-	// Get returns the stored bytes for key, if present in any tier.
-	Get(key string) ([]byte, bool)
-
-	// GetOrCompute returns the bytes for key, computing and storing them on
-	// a full miss. Concurrent calls for one key coalesce onto a single
-	// computation. hit reports whether the bytes came from a tier (or a
-	// coalesced flight) rather than this caller's own compute.
-	GetOrCompute(ctx context.Context, key string, compute func() ([]byte, error)) (val []byte, hit bool, err error)
-
-	// Compute is GetOrCompute without the initial counted lookup, for
-	// callers that already observed a miss via Get.
-	Compute(ctx context.Context, key string, compute func() ([]byte, error)) (val []byte, hit bool, err error)
-
-	// Stats snapshots per-tier counters, fastest tier first.
-	Stats() Stats
-}
 
 // Tier is the minimal surface a fallback-chain member implements: counted
 // lookups, best-effort stores, and counters. Compose tiers with Chain.
@@ -52,19 +26,17 @@ type Tier interface {
 	// Get returns the stored bytes for key, counting a hit or miss.
 	Get(key string) ([]byte, bool)
 
+	// Peek is Get without the hit/miss counters: the chain's uncounted
+	// re-probe inside a flight whose triggering lookup was already counted,
+	// so one logical lookup counts exactly once per tier. Integrity errors
+	// are still counted.
+	Peek(key string) ([]byte, bool)
+
 	// Put stores key's bytes (best effort). Read-only tiers no-op.
 	Put(key string, val []byte)
 
 	// Stats snapshots the tier's counters.
 	Stats() TierStats
-}
-
-// peeker is implemented by tiers whose lookups can skip the hit/miss
-// counters. Chain uses it for the uncounted re-probe inside a flight whose
-// triggering lookup was already counted, so one logical lookup counts
-// exactly once per tier. Tiers without it are re-probed with a counted Get.
-type peeker interface {
-	Peek(key string) ([]byte, bool)
 }
 
 // remoteTier marks tiers that consult other processes (the peer tier).

@@ -184,21 +184,12 @@ func (s *Server) handleMembers(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// manifestLister is the store surface manifest export needs; the default
-// tier chain implements it.
-type manifestLister interface {
-	LocalKeys() []string
-}
-
 // handleManifest lists the content addresses this replica's local tiers
 // hold — the corpus a warm joiner batch-fills from via /v1/blob/{hash}.
 // Stays up while draining: a draining replica's corpus is exactly what the
 // survivors may want to copy out.
 func (s *Server) handleManifest(w http.ResponseWriter, r *http.Request) {
-	var keys []string
-	if ml, ok := s.cache.(manifestLister); ok {
-		keys = ml.LocalKeys()
-	}
+	keys := s.cache.LocalKeys()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"keys":  keys,
 		"count": len(keys),
@@ -279,13 +270,6 @@ type JoinStats struct {
 // joinFillWorkers bounds concurrent warm-fill blob fetches.
 const joinFillWorkers = 8
 
-// warmFiller is the store surface a warm fill needs — uncounted local
-// lookups and write-through puts; the default tier chain implements it.
-type warmFiller interface {
-	GetLocal(key string) ([]byte, bool)
-	Put(key string, val []byte)
-}
-
 // JoinFleet joins the fleet through the seed peer in Options.Join: adopt
 // the seed's membership view, batch-fill the local store from the seed's
 // corpus manifest (so the replica starts *warm* — cells the fleet already
@@ -325,41 +309,39 @@ func (s *Server) JoinFleet(ctx context.Context) (JoinStats, error) {
 		return st, fmt.Errorf("server: join %s: manifest: %w", st.Seed, err)
 	}
 	st.Keys = len(manifest.Keys)
-	if filler, ok := s.cache.(warmFiller); ok && len(manifest.Keys) > 0 {
-		var (
-			mu   sync.Mutex
-			wg   sync.WaitGroup
-			work = make(chan string)
-		)
-		for w := 0; w < joinFillWorkers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for key := range work {
-					if _, ok := filler.GetLocal(key); ok {
-						mu.Lock()
-						st.Present++
-						mu.Unlock()
-						continue
-					}
-					val, err := resultstore.FetchBlob(ctx, s.client, st.Seed, key)
+	var (
+		mu   sync.Mutex
+		wg   sync.WaitGroup
+		work = make(chan string)
+	)
+	for w := 0; w < joinFillWorkers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for key := range work {
+				if _, ok := s.cache.GetLocal(key); ok {
 					mu.Lock()
-					if err != nil || val == nil { // val nil: the seed no longer holds key
-						st.Failed++
-					} else {
-						filler.Put(key, val)
-						st.Filled++
-					}
+					st.Present++
 					mu.Unlock()
+					continue
 				}
-			}()
-		}
-		for _, key := range manifest.Keys {
-			work <- key
-		}
-		close(work)
-		wg.Wait()
+				val, err := resultstore.FetchBlob(ctx, s.client, st.Seed, key)
+				mu.Lock()
+				if err != nil || val == nil { // val nil: the seed no longer holds key
+					st.Failed++
+				} else {
+					s.cache.Put(key, val)
+					st.Filled++
+				}
+				mu.Unlock()
+			}
+		}()
 	}
+	for _, key := range manifest.Keys {
+		work <- key
+	}
+	close(work)
+	wg.Wait()
 
 	// 3. Announce: only now does the fleet route cells here — with the
 	// corpus already local, they are served warm. The announcement response

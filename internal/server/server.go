@@ -41,18 +41,10 @@ import (
 
 // Options configures a Server. The zero value picks sensible defaults.
 //
-// The result store comes from exactly one of two places. When Store is set
-// the server uses it as-is and every Cache* / Peers convenience field must
-// be left zero (New rejects the conflict: the injected store would silently
-// shadow them). Otherwise the convenience fields build the default chain:
-// memory (CacheEntries) → disk (CacheDir, CacheDiskBytes, CacheCompress) →
-// peer replicas (Peers), each tier present only when configured.
+// The result store is the chain the Cache* / Peers fields describe: memory
+// (CacheEntries) → disk (CacheDir, CacheDiskBytes, CacheCompress) → peer
+// replicas (Peers), each tier present only when configured.
 type Options struct {
-	// Store, when non-nil, is the result store the server uses verbatim —
-	// the dependency-inversion seam for tests and custom tier chains.
-	// Conflicts with CacheEntries, CacheDir, CacheDiskBytes, CacheCompress
-	// and Peers.
-	Store resultstore.Store
 	// CacheEntries bounds the memory tier of the result store (default 4096
 	// entries).
 	CacheEntries int
@@ -91,8 +83,7 @@ type Options struct {
 	// first-class fleet member: it is included in the membership registry
 	// it shares with its peers, processes join/leave announcements,
 	// serves the corpus manifest warm joiners fill from, and can drain
-	// out gracefully. Conflicts with Store (dynamic membership needs the
-	// default tier chain for manifest export and warm fill).
+	// out gracefully.
 	Advertise string
 	// Join is a seed peer base URL to join the fleet through at startup:
 	// JoinFleet adopts the seed's member list, warm-fills the local store
@@ -160,7 +151,7 @@ func (o Options) withDefaults() Options {
 // with New, serve via Handler, release with Close.
 type Server struct {
 	opts        Options
-	cache       resultstore.Store
+	cache       *resultstore.TierChain
 	fleet       *fleet.Fleet      // health view over peer members; nil without any
 	membership  *fleet.Membership // live member registry; nil without Peers/Advertise
 	id          string            // instance identity token, fresh per process
@@ -186,16 +177,9 @@ type Server struct {
 }
 
 // New builds a ready-to-serve Server and starts its worker pool. The
-// result store is the injected Options.Store, or the default chain built
-// from the Cache*/Peers fields (see the Options godoc for precedence); New
-// fails on conflicting settings or an unopenable cache directory.
+// result store is the chain built from the Cache*/Peers fields; New fails
+// on conflicting settings or an unopenable cache directory.
 func New(opts Options) (*Server, error) {
-	if opts.Store != nil {
-		if opts.CacheEntries != 0 || opts.CacheDir != "" || opts.CacheDiskBytes != 0 ||
-			opts.CacheCompress || len(opts.Peers) > 0 || opts.Advertise != "" || opts.Join != "" {
-			return nil, fmt.Errorf("server: Options.Store conflicts with CacheEntries/CacheDir/CacheDiskBytes/CacheCompress/Peers/Advertise/Join — configure tiers on the injected store instead")
-		}
-	}
 	if opts.CacheDir == "" {
 		if opts.CacheCompress {
 			return nil, fmt.Errorf("server: CacheCompress requires CacheDir")
@@ -229,39 +213,35 @@ func New(opts Options) (*Server, error) {
 		}
 		membership = fleet.NewMembership(initial)
 	}
-	store := opts.Store
+	tiers := []resultstore.Tier{resultstore.MemoryTier(opts.CacheEntries)}
+	if opts.CacheDir != "" {
+		var (
+			disk resultstore.Tier
+			err  error
+		)
+		if opts.CacheCompress {
+			disk, err = resultstore.OpenChunkedDisk(opts.CacheDir, opts.CacheDiskBytes)
+		} else {
+			disk, err = resultstore.OpenDisk(opts.CacheDir, opts.CacheDiskBytes)
+		}
+		if err != nil {
+			return nil, err
+		}
+		tiers = append(tiers, disk)
+	}
 	var fl *fleet.Fleet
-	if store == nil {
-		tiers := []resultstore.Tier{resultstore.MemoryTier(opts.CacheEntries)}
-		if opts.CacheDir != "" {
-			var (
-				disk resultstore.Tier
-				err  error
-			)
-			if opts.CacheCompress {
-				disk, err = resultstore.OpenChunkedDisk(opts.CacheDir, opts.CacheDiskBytes)
-			} else {
-				disk, err = resultstore.OpenDisk(opts.CacheDir, opts.CacheDiskBytes)
-			}
-			if err != nil {
-				return nil, err
-			}
-			tiers = append(tiers, disk)
-		}
-		if membership != nil {
-			// The fleet holds the members minus this replica (kept so by the
-			// OnChange hook below) and is the peer tier's peer list.
-			fl = fleet.New(without(membership.Members(), advertise), fleet.Options{
-				ProbeInterval:    opts.FleetProbeInterval,
-				BreakerThreshold: opts.FleetBreakerThreshold,
-			})
-			tiers = append(tiers, resultstore.NewPeerTier(fl, nil))
-		}
-		store = resultstore.Chain(tiers...)
+	if membership != nil {
+		// The fleet holds the members minus this replica (kept so by the
+		// OnChange hook below) and is the peer tier's peer list.
+		fl = fleet.New(without(membership.Members(), advertise), fleet.Options{
+			ProbeInterval:    opts.FleetProbeInterval,
+			BreakerThreshold: opts.FleetBreakerThreshold,
+		})
+		tiers = append(tiers, resultstore.NewPeerTier(fl, nil))
 	}
 	s := &Server{
 		opts:       opts,
-		cache:      store,
+		cache:      resultstore.Chain(tiers...),
 		fleet:      fl,
 		membership: membership,
 		id:         newInstanceID(),
@@ -776,14 +756,6 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, job.view(false))
 }
 
-// localGetter is the store surface the blob endpoint wants: a lookup that
-// consults only this process's tiers. resultstore.TierChain implements it;
-// an injected store that contains remote tiers should too, or its blob
-// lookups would cascade across the fleet.
-type localGetter interface {
-	GetLocal(key string) ([]byte, bool)
-}
-
 // handleBlob serves one stored entry to a sibling replica, framed with the
 // keyed blob envelope (resultstore.EncodeBlob) so the peer can verify both
 // payload integrity and that the response answers the address it asked for.
@@ -797,15 +769,7 @@ func (s *Server) handleBlob(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "bad content address %q", hash)
 		return
 	}
-	var (
-		val []byte
-		ok  bool
-	)
-	if lg, isLocal := s.cache.(localGetter); isLocal {
-		val, ok = lg.GetLocal(hash)
-	} else {
-		val, ok = s.cache.Get(hash)
-	}
+	val, ok := s.cache.GetLocal(hash)
 	if !ok {
 		writeErr(w, http.StatusNotFound, "no entry for %s", hash)
 		return

@@ -216,26 +216,10 @@ func TestCorruptChunkResimulatedByServer(t *testing.T) {
 	}
 }
 
-// TestStoreInjection pins the dependency inversion: a caller-composed chain
-// is used as-is, and conflicting cache settings are rejected loudly.
-func TestStoreInjection(t *testing.T) {
-	store := resultstore.Chain(resultstore.MemoryTier(8))
-	s, h := testServer(t, Options{Store: store})
-	if w := do(h, "POST", "/v1/compare", smallCompare); w.Code != 200 {
-		t.Fatalf("compare: %d %s", w.Code, w.Body)
-	}
-	// The injected store saw the traffic.
-	if store.Stats().Tiers[0].Misses == 0 {
-		t.Error("injected store saw no lookups")
-	}
-	if got := len(s.Stats().Cache.Tiers); got != 1 {
-		t.Errorf("server stats report %d tiers, want the injected chain's 1", got)
-	}
-
+// TestCacheOptionsRequireCacheDir pins that disk-tier settings without a
+// disk tier are rejected loudly rather than silently ignored.
+func TestCacheOptionsRequireCacheDir(t *testing.T) {
 	for _, bad := range []Options{
-		{Store: store, CacheEntries: 16},
-		{Store: store, CacheDir: t.TempDir()},
-		{Store: store, Peers: []string{"http://x:1"}},
 		{CacheCompress: true},     // requires CacheDir
 		{CacheDiskBytes: 1 << 20}, // requires CacheDir
 	} {

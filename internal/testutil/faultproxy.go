@@ -10,6 +10,8 @@
 package testutil
 
 import (
+	"bytes"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/http/httputil"
@@ -133,6 +135,16 @@ func (p *FaultProxy) handle(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
+	// Reading the body to EOF lets net/http watch the connection, so a
+	// client that gives up cancels r.Context() and cuts the stall short
+	// (otherwise Close would wait out a whole hang). The proxy then forwards
+	// the buffered copy.
+	body, err := io.ReadAll(r.Body)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	r.Body = io.NopCloser(bytes.NewReader(body))
 	if delay > 0 {
 		select {
 		case <-time.After(delay):

@@ -4,6 +4,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 )
@@ -144,5 +145,25 @@ func TestFaultProxyHangRespectsClientDeadline(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Errorf("client deadline did not bound the hang: %v", elapsed)
+	}
+}
+
+// TestFaultProxyCloseAfterHungPost: once a hung POST's client gives up, the
+// stall ends with it, so Close returns promptly instead of waiting out the
+// hang.
+func TestFaultProxyCloseAfterHungPost(t *testing.T) {
+	p, err := NewFaultProxy(newBackend(t).URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.SetHang(time.Minute)
+	client := &http.Client{Timeout: 100 * time.Millisecond}
+	if _, err := client.Post(p.URL(), "application/json", strings.NewReader(`{"k":1}`)); err == nil {
+		t.Fatal("hung POST returned without error")
+	}
+	start := time.Now()
+	p.Close()
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("Close took %v after the client timed out, want < 1s", elapsed)
 	}
 }
